@@ -6,6 +6,7 @@
 // The domain sweep is sharded (one Scenario replica + DomainTester per
 // worker); verdicts are identical for any TSPU_BENCH_JOBS value.
 #include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "measure/common.h"
@@ -77,6 +78,9 @@ int main() {
   struct Ctx {
     std::unique_ptr<topo::Scenario> scenario;
     std::unique_ptr<measure::DomainTester> tester;
+    /// Tranco list then registry sample, from this replica's corpus:
+    /// item i tests domains[i].
+    std::vector<const topo::DomainInfo*> domains;
   };
   std::vector<measure::DomainVerdict> verdicts = runner::shard_map(
       n_tranco + n_registry, report.jobs(),
@@ -84,16 +88,16 @@ int main() {
         Ctx ctx;
         ctx.scenario = std::make_unique<topo::Scenario>(cfg);
         ctx.tester = std::make_unique<measure::DomainTester>(*ctx.scenario);
+        ctx.domains = ctx.scenario->corpus().tranco_list();
+        const auto registry = ctx.scenario->corpus().registry_sample();
+        ctx.domains.insert(ctx.domains.end(), registry.begin(),
+                           registry.end());
         return ctx;
       },
       [&](Ctx& ctx, std::size_t i) {
         ctx.scenario->begin_trial(runner::item_seed(kSeed, i));
         measure::reset_fresh_port();
-        const auto& corpus = ctx.scenario->corpus();
-        const topo::DomainInfo* d = i < n_tranco
-                                        ? corpus.tranco_list()[i]
-                                        : corpus.registry_sample()[i - n_tranco];
-        return ctx.tester->test_domain(*d, tc);
+        return ctx.tester->test_domain(*ctx.domains[i], tc);
       });
 
   const std::vector<measure::DomainVerdict> tranco(

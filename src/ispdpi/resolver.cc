@@ -15,9 +15,7 @@ thread_local std::uint16_t next_query_id = 1;
 
 }  // namespace
 
-void reset_dns_query_ids(std::uint16_t base) { next_query_id = base; }
-
-std::uint16_t dns_query_id_cursor() { return next_query_id; }
+void reset_dns_query_ids() { next_query_id = 1; }
 
 void attach_blockpage_resolver(netsim::Host& host, ResolverConfig config) {
   host.udp_listen(

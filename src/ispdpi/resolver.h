@@ -45,11 +45,6 @@ std::optional<util::Ipv4Addr> read_dns_answer(const netsim::Host& client,
 /// Re-anchors this worker's DNS transaction-ID counter. Called from the
 /// trial-isolation path (begin_trial) so query IDs depend only on the
 /// current trial, never on shard assignment or prior items.
-void reset_dns_query_ids(std::uint16_t base = 1);
-
-/// The next DNS transaction ID this worker would assign. Checkpoints save
-/// it (and restore via reset_dns_query_ids) so a resumed shard issues the
-/// same query-ID stream an uninterrupted one would.
-std::uint16_t dns_query_id_cursor();
+void reset_dns_query_ids();
 
 }  // namespace tspu::ispdpi

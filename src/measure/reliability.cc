@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "measure/behavior.h"
-#include "measure/ckptcodec.h"
 #include "measure/common.h"
 #include "quic/quic.h"
 
@@ -145,14 +144,6 @@ std::vector<bool> sharded_reliability_trials(
     bool decode(bool& unblocked, util::StateReader& r) const {
       r.boolean(unblocked);
       return r.ok();
-    }
-    void save_shard(ReliabilityShard& shard, util::StateWriter& w) const {
-      save_topo_shard(shard.scenario->net(), shard.scenario->devices(),
-                      shard.scenario->measurement_hosts(), w);
-    }
-    bool load_shard(ReliabilityShard& shard, util::StateReader& r) const {
-      return load_topo_shard(shard.scenario->net(), shard.scenario->devices(),
-                             shard.scenario->measurement_hosts(), r);
     }
   };
 

@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "measure/ckptcodec.h"
 #include "measure/common.h"
 #include "obs/obs.h"
 #include "runner/runner.h"
@@ -356,16 +355,6 @@ ParallelScanOutcome parallel_scan_checkpointed(
     }
     bool decode(ScanRecord& rec, util::StateReader& r) const {
       return decode_scan_record(rec, r);
-    }
-    void save_shard(std::unique_ptr<topo::NationalTopology>& topo,
-                    util::StateWriter& w) const {
-      std::vector<netsim::Host*> hosts{&topo->prober(), &topo->tor_node()};
-      save_topo_shard(topo->net(), topo->devices(), hosts, w);
-    }
-    bool load_shard(std::unique_ptr<topo::NationalTopology>& topo,
-                    util::StateReader& r) const {
-      std::vector<netsim::Host*> hosts{&topo->prober(), &topo->tor_node()};
-      return load_topo_shard(topo->net(), topo->devices(), hosts, r);
     }
   };
 

@@ -184,13 +184,12 @@ ParallelScanOutcome parallel_scan(const topo::NationalConfig& topo_config,
                                   int jobs = 0);
 
 /// parallel_scan with checkpoint/resume (runner/checkpoint.h): snapshots
-/// the campaign to ckpt.path at every wave barrier and, on
-/// ckpt.resume, reloads completed records, per-shard recorder state, and —
-/// when the job count matches the snapshot's — the full replica state
-/// (device tables, RNG cursors, host counters, clock). Final records,
-/// metrics JSON, and trace JSONL are byte-identical to an uninterrupted
-/// run at any job count. Throws runner::CampaignInterrupted on SIGTERM or
-/// the abort_after_items hook, after writing the snapshot.
+/// the campaign to ckpt.path at every wave barrier and, on ckpt.resume,
+/// reloads completed records and per-shard recorder state, then finishes
+/// on fresh replicas. Final records, metrics JSON, and trace JSONL are
+/// byte-identical to an uninterrupted run at any job count. Throws
+/// runner::CampaignInterrupted on SIGTERM or the abort_after_items hook,
+/// after writing the snapshot.
 ParallelScanOutcome parallel_scan_checkpointed(
     const topo::NationalConfig& topo_config, const ParallelScanConfig& config,
     const runner::CheckpointOptions& ckpt, int jobs = 0);

@@ -230,17 +230,6 @@ class Host : public Node {
     next_iss_ = 1u << 20;
   }
 
-  /// Checkpoint hooks: the protocol counter cursors as one value (IP-ID in
-  /// the low 16 bits, ISS above), so a resumed host stamps the exact same
-  /// IDs an uninterrupted one would.
-  std::uint64_t protocol_counters() const {
-    return static_cast<std::uint64_t>(next_iss_) << 16 | ip_id_;
-  }
-  void restore_protocol_counters(std::uint64_t packed) {
-    ip_id_ = static_cast<std::uint16_t>(packed & 0xffff);
-    next_iss_ = static_cast<std::uint32_t>(packed >> 16);
-  }
-
  private:
   struct FlowKey {
     util::Ipv4Addr peer;

@@ -6,7 +6,7 @@
 namespace tspu::obs {
 
 namespace detail {
-thread_local TlsState tls;
+constinit thread_local TlsState tls;
 }  // namespace detail
 
 using detail::tls;
@@ -33,8 +33,6 @@ void begin_item(std::size_t index) {
 }
 
 void anchor_epoch(util::Instant now) { tls.epoch_us = now.as_micros(); }
-
-std::int64_t current_epoch_us() { return tls.epoch_us; }
 
 void trace_event(Layer layer, std::string_view kind, util::Instant t,
                  std::string flow, std::string detail,

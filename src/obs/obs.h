@@ -79,8 +79,11 @@ namespace detail {
 /// a recorder that no longer exists (a new Recorder can reuse the address).
 /// Exposed in the header ONLY so recorder()/tracing()/CounterRef::add inline
 /// into the per-packet hot paths; everything outside src/obs goes through
-/// those accessors. All members constant-initialize, so the thread_local
-/// needs no init guard on first touch.
+/// those accessors. All members constant-initialize; constinit makes every
+/// use read the thread_local directly instead of calling a TLS init wrapper.
+/// The accessors read `tls.` fields directly rather than binding a
+/// reference: UBSan's null check on such a binding misfires in optimized
+/// GCC 12 builds.
 struct TlsState {
   Recorder* rec = nullptr;
   int mute = 0;
@@ -90,7 +93,7 @@ struct TlsState {
   std::int64_t epoch_us = 0;
 };
 
-extern thread_local TlsState tls;
+extern constinit thread_local TlsState tls;
 
 }  // namespace detail
 
@@ -103,8 +106,8 @@ inline Recorder* recorder() {
 /// True iff a recorder is bound, tracing is enabled, and no MuteGuard is
 /// active. Use to skip building event strings that would be discarded.
 inline bool tracing() {
-  const detail::TlsState& t = detail::tls;
-  return t.mute == 0 && t.rec != nullptr && t.rec->config().enabled;
+  return detail::tls.mute == 0 && detail::tls.rec != nullptr &&
+         detail::tls.rec->config().enabled;
 }
 
 /// Marks the start of work item `index` on this thread: subsequent events
@@ -117,11 +120,6 @@ void begin_item(std::size_t index);
 /// items a shard has run, so absolute times are K-dependent; item-relative
 /// times are not.
 void anchor_epoch(util::Instant now);
-
-/// This thread's current item epoch in sim microseconds (the value the last
-/// anchor_epoch set, 0 after begin_item). Checkpoints record it per item so
-/// a resume can audit that a restored shard clock re-anchors identically.
-std::int64_t current_epoch_us();
 
 /// Record one trace event on the bound recorder (no-op unless tracing()).
 /// `t` is an absolute sim instant; it is stored relative to the item epoch.
@@ -167,9 +165,8 @@ class CounterRef {
   explicit constexpr CounterRef(const char* name) : name_(name) {}
 
   void add(std::uint64_t delta = 1) {
-    const detail::TlsState& t = detail::tls;
-    if (t.mute > 0 || t.rec == nullptr) return;
-    if (cached_ == nullptr || cached_gen_ != t.gen) {
+    if (detail::tls.mute > 0 || detail::tls.rec == nullptr) return;
+    if (cached_ == nullptr || cached_gen_ != detail::tls.gen) {
       slow_bind();
     }
     cached_->add(delta);

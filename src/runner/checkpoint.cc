@@ -9,7 +9,7 @@ namespace {
 // 'TCKP' — TSPU checkpoint. Little-endian on the wire like every
 // StateWriter integer.
 constexpr std::uint32_t kMagic = 0x504b4354u;
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 // SIGTERM latch. sig_atomic_t + volatile is the only state a strictly
 // conforming handler may touch; the wave barrier polls it, so the handler
@@ -28,27 +28,6 @@ bool sigterm_requested() { return g_sigterm_latch != 0; }
 
 void reset_sigterm_for_testing() { g_sigterm_latch = 0; }
 
-// Campaign-lifecycle hooks whose state the checkpoint layer accounts for;
-// see the header comment and docs/checkpointing.md for the per-entry story.
-const char* const kCheckpointCodecRegistry[] = {
-    // Stateful cursors captured by a codec:
-    "reseed",                   // core::Device rng/fault runtime -> Device::save_state
-    "reseed_eviction",          // ConnTracker/FragmentEngine evict RNG lanes
-    "reset_protocol_counters",  // netsim::Host::protocol_counters() packing
-    "reset_dns_query_ids",      // ispdpi::dns_query_id_cursor()
-    "reset_buffer_pool",        // util::BufferPool::high_water() mark
-    "anchor_epoch",             // obs::current_epoch_us() + recorder blobs
-    // Stateless per-item streams, re-derived from item_seed on every
-    // begin_trial — nothing survives an item boundary to snapshot:
-    "reseed_stochastic",        // topo fan-out root (splitmix64 of item seed)
-    "reseed_fault_rngs",        // per-link fault streams (fault_stream_seed)
-    "seed_loss_rng",            // network loss stream
-    // Reset to empty per item; capture/flow buffers never cross items:
-    "reset_traffic_state",      // netsim::Host captures/flows/reassembly
-};
-const std::size_t kCheckpointCodecRegistrySize =
-    sizeof(kCheckpointCodecRegistry) / sizeof(kCheckpointCodecRegistry[0]);
-
 bool write_snapshot(const std::string& path, const Snapshot& snapshot) {
   util::StateWriter body;
   body.u64(snapshot.identity);
@@ -62,8 +41,6 @@ bool write_snapshot(const std::string& path, const Snapshot& snapshot) {
   }
   body.u32(static_cast<std::uint32_t>(snapshot.recorder_blobs.size()));
   for (const std::string& blob : snapshot.recorder_blobs) body.str(blob);
-  body.u32(static_cast<std::uint32_t>(snapshot.shard_blobs.size()));
-  for (const std::string& blob : snapshot.shard_blobs) body.str(blob);
 
   util::StateWriter image;
   image.u32(kMagic);
@@ -131,20 +108,16 @@ std::optional<Snapshot> read_snapshot(const std::string& path) {
     if (!body.u64(index) || !body.str(blob)) return std::nullopt;
     snap.results.emplace_back(index, std::move(blob));
   }
-  auto read_blob_list = [&body](std::vector<std::string>& out) {
-    std::uint32_t count = 0;
-    if (!body.u32(count)) return false;
-    if (count > body.remaining() / 4) return false;
-    out.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::string blob;
-      if (!body.str(blob)) return false;
-      out.push_back(std::move(blob));
-    }
-    return true;
-  };
-  if (!read_blob_list(snap.recorder_blobs)) return std::nullopt;
-  if (!read_blob_list(snap.shard_blobs)) return std::nullopt;
+  std::uint32_t n_recorders = 0;
+  if (!body.u32(n_recorders)) return std::nullopt;
+  // Element floor of 4 bytes (an empty str) bounds reserve() likewise.
+  if (n_recorders > body.remaining() / 4) return std::nullopt;
+  snap.recorder_blobs.reserve(n_recorders);
+  for (std::uint32_t i = 0; i < n_recorders; ++i) {
+    std::string blob;
+    if (!body.str(blob)) return std::nullopt;
+    snap.recorder_blobs.push_back(std::move(blob));
+  }
   if (!body.done()) return std::nullopt;
   return snap;
 }

@@ -3,32 +3,28 @@
 // A campaign built on ShardRunner::map can run for hours (a 1:1-scale
 // national scan probes millions of endpoints); preemption or a SIGTERM used
 // to throw all of it away. checkpointed_map() is map() with a durability
-// contract: the full per-shard trial state — completed results, per-shard
-// context state (device tables, RNG cursors, host counters), and the flight
-// recorder — is serialized into a versioned, length-prefixed snapshot,
-// written atomically every N items and on SIGTERM. Resuming from the
-// snapshot continues the campaign such that the final result vector, the
-// merged metrics JSON, and the trace JSONL are byte-identical to an
-// uninterrupted run, at any job count.
+// contract: the completed results and the flight recorder are serialized
+// into a versioned, length-prefixed snapshot, written atomically every N
+// items and on SIGTERM. Resuming from the snapshot continues the campaign
+// such that the final result vector, the merged metrics JSON, and the trace
+// JSONL are byte-identical to an uninterrupted run, at any job count.
 //
 // Why this works:
 //  * Results: the runner's determinism contract already makes item i's
 //    result a pure function of (replica config + seed, item_seed(root, i)).
 //    Completed items are reloaded verbatim; remaining items recompute to
 //    the same bytes on any shard.
-//  * Shard state: execution proceeds in WAVES (a fixed slice of items, a
-//    multiple of the job count) with a barrier between waves; snapshots are
-//    taken only at barriers, so each shard's context state is quiescent and
-//    serializable. On resume with the same job count the saved state is
-//    reloaded exactly; with a different job count fresh replicas are built
-//    instead, which the determinism contract proves equivalent.
+//  * Shard state: a resume always builds fresh replicas, at the same job
+//    count or any other. The trial-isolation path (begin_trial) resets
+//    everything an item can observe, so a fresh replica is equivalent to
+//    one that ran the earlier items, and no shard state is saved.
 //  * Observability: the Recorder merge algebra is commutative and
 //    associative (counters/histograms sum, gauges max, trace items are
 //    disjoint per item), so saved per-shard recorder blobs merged at
 //    completion produce the same snapshot as never having stopped.
 //
 // The runner layer cannot see topo/ or measure/, so the campaign-specific
-// encoding lives in a Codec object the caller supplies (see
+// result encoding lives in a Codec object the caller supplies (see
 // measure/scan.h's checkpointed national scan for the canonical one).
 #pragma once
 
@@ -107,14 +103,14 @@ struct Snapshot {
   std::uint64_t n_items = 0;
   /// Completed prefix: items [0, next_index) are present in `results`.
   std::uint64_t next_index = 0;
-  /// Job count at save time; shard_blobs is exactly this long.
+  /// Job count at save time. With a recorder bound, the last shard_count
+  /// recorder blobs are this generation's; any before them are inherited.
   std::uint32_t shard_count = 0;
   std::vector<std::pair<std::uint64_t, std::string>> results;
   /// Per-shard recorder states, PLUS any base blobs inherited from earlier
   /// interrupted generations (a resume of a resume) — merged in order at
   /// campaign completion.
   std::vector<std::string> recorder_blobs;
-  std::vector<std::string> shard_blobs;
 };
 
 /// Serializes and writes a snapshot atomically: the versioned image
@@ -127,14 +123,6 @@ bool write_snapshot(const std::string& path, const Snapshot& snapshot);
 /// file, a checksum mismatch, or trailing garbage all yield nullopt —
 /// never UB, whatever the bytes are.
 std::optional<Snapshot> read_snapshot(const std::string& path);
-
-/// Every trial-isolation reset/reseed hook whose underlying mutable state
-/// the checkpoint codecs capture (or re-derive statelessly per item).
-/// tspulint's ckpt-coverage rule cross-checks this list against the callees
-/// of begin_trial/reseed definitions: state reset at a trial boundary must
-/// round-trip through a codec or carry an explicit allow marker.
-extern const char* const kCheckpointCodecRegistry[];
-extern const std::size_t kCheckpointCodecRegistrySize;
 
 namespace detail {
 
@@ -155,8 +143,6 @@ struct CtxEmplacer {
 ///   std::uint64_t identity() const;                  // config hash
 ///   void encode(const Result&, util::StateWriter&);  // result -> blob
 ///   bool decode(Result&, util::StateReader&);        // blob -> result
-///   void save_shard(Ctx&, util::StateWriter&);       // context -> blob
-///   bool load_shard(Ctx&, util::StateReader&);       // blob -> context
 ///
 /// Result must be default-constructible (decode target). encode(decode(b))
 /// must reproduce b byte-for-byte — the snapshot is re-encoded from decoded
@@ -184,10 +170,6 @@ auto checkpointed_map(std::size_t n_items, int jobs_requested,
   obs::Recorder* parent = obs::recorder();
   std::vector<std::unique_ptr<obs::Recorder>> children(uj);
   std::vector<std::optional<Ctx>> contexts(uj);
-  /// Saved shard-context blobs, applied once when a shard first builds its
-  /// replica. Populated only when the snapshot's job count matches ours;
-  /// otherwise fresh replicas are equivalent by the determinism contract.
-  std::vector<std::string> shard_restore;
   /// Recorder blobs inherited from interrupted generations; merged into the
   /// parent at completion and carried forward into every snapshot so a
   /// resume-of-a-resume still reproduces the full history.
@@ -218,9 +200,6 @@ auto checkpointed_map(std::size_t n_items, int jobs_requested,
       slots[index].emplace(std::move(res));
     }
     base_recorders = std::move(snap->recorder_blobs);
-    if (snap->shard_count == static_cast<std::uint32_t>(jobs)) {
-      shard_restore = std::move(snap->shard_blobs);
-    }
     start = static_cast<std::size_t>(snap->next_index);
   }
 
@@ -250,11 +229,6 @@ auto checkpointed_map(std::size_t n_items, int jobs_requested,
       child->save_state(w);
       snap.recorder_blobs.push_back(w.take());
     }
-    for (std::optional<Ctx>& ctx : contexts) {
-      util::StateWriter w;
-      if (ctx) codec.save_shard(*ctx, w);
-      snap.shard_blobs.push_back(w.take());
-    }
     if (!write_snapshot(opts.path, snap)) {
       throw std::runtime_error("checkpoint: cannot write snapshot to '" +
                                opts.path + "'");
@@ -273,18 +247,9 @@ auto checkpointed_map(std::size_t n_items, int jobs_requested,
         scope.emplace(*children[us]);
       }
       if (!contexts[us]) {
-        {
-          obs::MuteGuard mute;
-          contexts[us].emplace(
-              detail::CtxEmplacer<MakeCtx, Ctx>{make_ctx, shard});
-        }
-        if (us < shard_restore.size()) {
-          util::StateReader r(shard_restore[us]);
-          if (!codec.load_shard(*contexts[us], r) || !r.done()) {
-            throw std::runtime_error(
-                "checkpoint: shard state blob rejected on resume");
-          }
-        }
+        obs::MuteGuard mute;
+        contexts[us].emplace(
+            detail::CtxEmplacer<MakeCtx, Ctx>{make_ctx, shard});
       }
       // Item i belongs to shard i % jobs, exactly as in ShardRunner::map;
       // the first owned index at or after wave_begin:

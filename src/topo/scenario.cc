@@ -1,6 +1,5 @@
 #include "topo/scenario.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "ispdpi/resolver.h"
@@ -407,26 +406,6 @@ VantagePoint& Scenario::vp(const std::string& isp_name) {
     if (v.isp == isp_name) return v;
   }
   throw std::invalid_argument("no vantage point in ISP " + isp_name);
-}
-
-std::vector<core::Device*> Scenario::devices() const {
-  std::vector<core::Device*> out;
-  for (const VantagePoint& v : vps_) {
-    for (core::Device* d : v.devices) {
-      if (std::find(out.begin(), out.end(), d) == out.end()) out.push_back(d);
-    }
-  }
-  return out;
-}
-
-std::vector<netsim::Host*> Scenario::measurement_hosts() const {
-  std::vector<netsim::Host*> hosts;
-  for (const VantagePoint& v : vps_) hosts.push_back(v.host);
-  hosts.insert(hosts.end(), us_mm_.begin(), us_mm_.end());
-  hosts.push_back(us_raw_);
-  hosts.push_back(paris_mm_);
-  hosts.push_back(tor_node_);
-  return hosts;
 }
 
 void Scenario::reseed_stochastic(std::uint64_t seed) {

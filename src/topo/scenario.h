@@ -118,15 +118,6 @@ class Scenario {
     return flood_drivers_;
   }
 
-  /// Every TSPU device in the deployment, deduplicated, in vantage-point
-  /// order — the deterministic iteration order the checkpoint codecs and
-  /// reseed_stochastic rely on.
-  std::vector<core::Device*> devices() const;
-
-  /// Every measurement host (vantage points, US machines, Paris, Tor), in
-  /// the order begin_trial resets them — the checkpoint codec's host order.
-  std::vector<netsim::Host*> measurement_hosts() const;
-
   /// Reseeds every TSPU device's failure RNG from one root seed (forked per
   /// device, in vantage-point order).
   void reseed_stochastic(std::uint64_t seed);

@@ -78,10 +78,6 @@ class OverloadState {
   bool overloaded() const { return overloaded_; }
   void reset() { overloaded_ = false; }
 
-  /// Checkpoint hook: restores a saved latch without emitting a transition
-  /// (the enter/exit events already happened before the snapshot).
-  void restore(bool overloaded) { overloaded_ = overloaded; }
-
  private:
   bool overloaded_ = false;
 };

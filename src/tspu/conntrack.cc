@@ -5,7 +5,6 @@
 
 #include "obs/obs.h"
 #include "util/check.h"
-#include "util/statecodec.h"
 
 namespace tspu::core {
 
@@ -406,104 +405,6 @@ ConnEntry* ConnTracker::admit_tcp(const FlowKey& key, wire::TcpFlags flags,
     }
   }
   return &e;
-}
-
-void ConnTracker::save_state(util::StateWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(table_.size()));
-  for (const auto& [key, e] : table_) {
-    w.u32(key.local.value());
-    w.u32(key.remote.value());
-    w.u16(key.local_port);
-    w.u16(key.remote_port);
-    w.u8(static_cast<std::uint8_t>(key.proto));
-    w.u8(static_cast<std::uint8_t>(e.state));
-    w.u8(static_cast<std::uint8_t>(e.initiator));
-    w.boolean(e.reversed);
-    w.boolean(e.seen_local_syn);
-    w.boolean(e.seen_remote_syn);
-    w.boolean(e.seen_local_synack);
-    w.boolean(e.seen_remote_synack);
-    w.i64(e.last_update.as_micros());
-    w.u8(static_cast<std::uint8_t>(e.block));
-    w.i64(e.block_last_activity.as_micros());
-    w.i64(e.grace_remaining);
-    w.f64(e.throttle_tokens);
-    w.i64(e.throttle_refilled.as_micros());
-    w.u8(e.failure_drawn_mask);
-    w.u8(e.failure_result_mask);
-    w.bytes(e.upstream_stream);
-    w.boolean(e.stream_overflow);
-  }
-  w.boolean(overload_state_.overloaded());
-  for (const std::uint64_t lane : evict_rng_.state()) w.u64(lane);
-}
-
-bool ConnTracker::load_state(util::StateReader& r) {
-  Table loaded;
-  std::size_t loaded_stream_bytes = 0;
-  std::uint32_t n = 0;
-  if (!r.u32(n)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    FlowKey key;
-    std::uint32_t local = 0;
-    std::uint32_t remote = 0;
-    std::uint8_t proto = 0;
-    if (!r.u32(local) || !r.u32(remote) || !r.u16(key.local_port) ||
-        !r.u16(key.remote_port) || !r.u8(proto)) {
-      return false;
-    }
-    if (proto != static_cast<std::uint8_t>(wire::IpProto::kTcp) &&
-        proto != static_cast<std::uint8_t>(wire::IpProto::kUdp)) {
-      return false;
-    }
-    key.local = util::Ipv4Addr(local);
-    key.remote = util::Ipv4Addr(remote);
-    key.proto = static_cast<wire::IpProto>(proto);
-
-    ConnEntry e;
-    std::uint8_t state = 0;
-    std::uint8_t initiator = 0;
-    std::uint8_t block = 0;
-    std::int64_t last_update_us = 0;
-    std::int64_t block_last_us = 0;
-    std::int64_t grace = 0;
-    std::int64_t refilled_us = 0;
-    if (!r.u8(state) || !r.u8(initiator) || !r.boolean(e.reversed) ||
-        !r.boolean(e.seen_local_syn) || !r.boolean(e.seen_remote_syn) ||
-        !r.boolean(e.seen_local_synack) || !r.boolean(e.seen_remote_synack) ||
-        !r.i64(last_update_us) || !r.u8(block) || !r.i64(block_last_us) ||
-        !r.i64(grace) || !r.f64(e.throttle_tokens) || !r.i64(refilled_us) ||
-        !r.u8(e.failure_drawn_mask) || !r.u8(e.failure_result_mask) ||
-        !r.bytes_into(e.upstream_stream) || !r.boolean(e.stream_overflow)) {
-      return false;
-    }
-    if (state > static_cast<std::uint8_t>(ConnState::kEstablished) ||
-        initiator > static_cast<std::uint8_t>(Initiator::kRemote) ||
-        block > static_cast<std::uint8_t>(BlockMode::kQuicDrop)) {
-      return false;
-    }
-    e.state = static_cast<ConnState>(state);
-    e.initiator = static_cast<Initiator>(initiator);
-    e.block = static_cast<BlockMode>(block);
-    e.last_update = util::Instant::from_micros(last_update_us);
-    e.block_last_activity = util::Instant::from_micros(block_last_us);
-    e.grace_remaining = static_cast<int>(grace);
-    e.throttle_refilled = util::Instant::from_micros(refilled_us);
-    loaded_stream_bytes += e.upstream_stream.size();
-    if (!loaded.emplace(key, std::move(e)).second) return false;
-  }
-  bool latched = false;
-  std::array<std::uint64_t, 4> rng_state{};
-  if (!r.boolean(latched)) return false;
-  for (std::uint64_t& lane : rng_state) {
-    if (!r.u64(lane)) return false;
-  }
-  if (!evict_rng_.set_state(rng_state)) return false;
-  table_ = std::move(loaded);
-  stream_bytes_ = loaded_stream_bytes;
-  overload_state_.restore(latched);
-  audit_cursor_ = FlowKey{};
-  return true;
 }
 
 ConnEntry* ConnTracker::track_udp(const FlowKey& key, bool from_local,

@@ -26,11 +26,6 @@
 #include "wire/ipv4.h"
 #include "wire/tcp.h"
 
-namespace tspu::util {
-class StateReader;
-class StateWriter;
-}  // namespace tspu::util
-
 namespace tspu::core {
 
 /// Flow identity from the device's fixed viewpoint: `local` is always the
@@ -244,16 +239,6 @@ class ConnTracker {
 
   util::Duration state_timeout(ConnState s) const;
   util::Duration block_timeout(BlockMode m) const;
-
-  /// Checkpoint serialization: every entry plus the overload latch and the
-  /// eviction RNG cursor. Construction-time config (timeouts, budget,
-  /// strict_roles) is NOT serialized — it belongs to the replica config.
-  void save_state(util::StateWriter& w) const;
-
-  /// Replaces the table with a saved one; false on truncated input,
-  /// out-of-range enums, or duplicate flow keys. stream_bytes_ is
-  /// recomputed from the restored entries, never trusted from the wire.
-  bool load_state(util::StateReader& r);
 
  private:
   bool expired(const ConnEntry& e, util::Instant now) const;

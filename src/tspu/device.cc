@@ -6,7 +6,6 @@
 #include "obs/obs.h"
 #include "quic/quic.h"
 #include "tls/clienthello.h"
-#include "util/statecodec.h"
 #include "wire/icmp.h"
 #include "wire/tcp.h"
 #include "wire/udp.h"
@@ -212,69 +211,6 @@ void Device::wipe_state() {
     obs::trace_event(obs::Layer::kDevice, "fault.reboot", net().now(), {},
                      name());
   }
-}
-
-void Device::save_state(util::StateWriter& w) const {
-  w.u64(stats_.packets_processed);
-  w.u64(stats_.packets_dropped);
-  w.u64(stats_.rst_rewrites);
-  for (std::uint64_t v : stats_.triggers) w.u64(v);
-  for (std::uint64_t v : stats_.failures_injected) w.u64(v);
-  w.u64(stats_.fault_forwarded);
-  w.u64(stats_.fault_dropped);
-  w.u64(stats_.fault_reboots);
-  w.u64(stats_.overload_forwarded);
-  w.u64(stats_.overload_dropped);
-  for (std::uint64_t lane : rng_.state()) w.u64(lane);
-  w.i64(fault_epoch_.as_micros());
-  w.u64(reboots_applied_);
-  w.boolean(in_flap_);
-  w.u64(reseed_seed_);
-  conntrack_.save_state(w);
-  frag_engine_.save_state(w);
-  inspect_reasm_.save_state(w);
-}
-
-bool Device::load_state(util::StateReader& r) {
-  DeviceStats stats;
-  if (!r.u64(stats.packets_processed) || !r.u64(stats.packets_dropped) ||
-      !r.u64(stats.rst_rewrites)) {
-    return false;
-  }
-  for (std::uint64_t& v : stats.triggers) {
-    if (!r.u64(v)) return false;
-  }
-  for (std::uint64_t& v : stats.failures_injected) {
-    if (!r.u64(v)) return false;
-  }
-  if (!r.u64(stats.fault_forwarded) || !r.u64(stats.fault_dropped) ||
-      !r.u64(stats.fault_reboots) || !r.u64(stats.overload_forwarded) ||
-      !r.u64(stats.overload_dropped)) {
-    return false;
-  }
-  std::array<std::uint64_t, 4> lanes{};
-  for (std::uint64_t& lane : lanes) {
-    if (!r.u64(lane)) return false;
-  }
-  std::int64_t epoch_us = 0;
-  std::uint64_t reboots = 0;
-  bool flap = false;
-  std::uint64_t seed = 0;
-  if (!r.i64(epoch_us) || !r.u64(reboots) || !r.boolean(flap) ||
-      !r.u64(seed)) {
-    return false;
-  }
-  if (!rng_.set_state(lanes)) return false;
-  if (!conntrack_.load_state(r) || !frag_engine_.load_state(r) ||
-      !inspect_reasm_.load_state(r)) {
-    return false;
-  }
-  stats_ = stats;
-  fault_epoch_ = util::Instant::from_micros(epoch_us);
-  reboots_applied_ = static_cast<std::size_t>(reboots);
-  in_flap_ = flap;
-  reseed_seed_ = seed;
-  return true;
 }
 
 bool Device::fault_intercept(wire::Packet& pkt, bool upstream) {

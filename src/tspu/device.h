@@ -32,11 +32,6 @@
 #include "tspu/timeouts.h"
 #include "util/rng.h"
 
-namespace tspu::util {
-class StateReader;
-class StateWriter;
-}  // namespace tspu::util
-
 namespace tspu::core {
 
 /// Per-trigger-type probability that this device FAILS to act on a trigger
@@ -157,17 +152,6 @@ class Device : public netsim::Middlebox {
   const FragEngineStats& frag_stats() const { return frag_engine_.stats(); }
   const Policy& policy() const { return *policy_; }
   ConnTracker& conntrack() { return conntrack_; }
-
-  /// Checkpoint serialization of everything reseed()/process() mutates:
-  /// stats, the failure-draw RNG, fault-plan runtime (epoch, applied
-  /// reboots, flap latch), the last reseed seed, and the nested conntrack /
-  /// fragment-engine / inspection-reassembler state. Config and policy are
-  /// construction state and stay out of the snapshot.
-  void save_state(util::StateWriter& w) const;
-
-  /// Restores a saved runtime state; false on garbage (nested decoders
-  /// reject out-of-range enums, duplicate keys, truncation).
-  bool load_state(util::StateReader& r);
 
  private:
   void handle_tcp(wire::Packet pkt, bool upstream);

@@ -1,13 +1,11 @@
 #include "tspu/frag_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <iterator>
 #include <utility>
 
 #include "obs/obs.h"
 #include "util/check.h"
-#include "util/statecodec.h"
 
 namespace tspu::core {
 namespace {
@@ -347,112 +345,6 @@ std::vector<wire::Packet> FragmentEngine::push(wire::Packet frag,
   }
   if constexpr (util::kAuditEnabled) audit(now);
   return out;
-}
-
-void FragmentEngine::save_state(util::StateWriter& w) const {
-  w.u64(stats_.fragments_buffered);
-  w.u64(stats_.queues_released);
-  w.u64(stats_.queues_discarded_overlap);
-  w.u64(stats_.queues_discarded_limit);
-  w.u64(stats_.queues_discarded_timeout);
-  w.u64(stats_.queues_discarded_overlong);
-  w.u64(stats_.queues_evicted);
-  w.u64(stats_.fragments_rejected);
-  w.u32(static_cast<std::uint32_t>(queues_.size()));
-  for (const auto& [key, q] : queues_) {
-    w.u32(key.src.value());
-    w.u32(key.dst.value());
-    w.u16(key.ip_id);
-    w.i64(q.started.as_micros());
-    w.boolean(q.first_ttl.has_value());
-    if (q.first_ttl) w.u8(*q.first_ttl);
-    w.boolean(q.saw_last);
-    w.u32(q.total_len);
-    w.u32(static_cast<std::uint32_t>(q.fragments.size()));
-    // Member scope hides the namespace-level packet codec; qualify.
-    for (const wire::Packet& p : q.fragments) ::tspu::wire::save_state(p, w);
-  }
-  w.boolean(oldest_started_.has_value());
-  if (oldest_started_) w.i64(oldest_started_->as_micros());
-  w.boolean(overload_state_.overloaded());
-  for (std::uint64_t lane : evict_rng_.state()) w.u64(lane);
-}
-
-bool FragmentEngine::load_state(util::StateReader& r) {
-  FragEngineStats stats;
-  if (!r.u64(stats.fragments_buffered) || !r.u64(stats.queues_released) ||
-      !r.u64(stats.queues_discarded_overlap) ||
-      !r.u64(stats.queues_discarded_limit) ||
-      !r.u64(stats.queues_discarded_timeout) ||
-      !r.u64(stats.queues_discarded_overlong) ||
-      !r.u64(stats.queues_evicted) || !r.u64(stats.fragments_rejected)) {
-    return false;
-  }
-  std::uint32_t count = 0;
-  if (!r.u32(count)) return false;
-  std::map<wire::FragmentKey, Queue> loaded;
-  std::size_t total_bytes = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::uint16_t ip_id = 0;
-    if (!r.u32(src) || !r.u32(dst) || !r.u16(ip_id)) return false;
-    Queue q;
-    std::int64_t started_us = 0;
-    bool has_ttl = false;
-    if (!r.i64(started_us) || !r.boolean(has_ttl)) return false;
-    q.started = util::Instant::from_micros(started_us);
-    if (has_ttl) {
-      std::uint8_t ttl = 0;
-      if (!r.u8(ttl)) return false;
-      q.first_ttl = ttl;
-    }
-    std::uint32_t frags = 0;
-    if (!r.boolean(q.saw_last) || !r.u32(q.total_len) || !r.u32(frags)) {
-      return false;
-    }
-    if (frags > cfg_.max_fragments) return false;
-    q.fragments.reserve(frags);
-    q.ranges.reserve(frags);
-    for (std::uint32_t f = 0; f < frags; ++f) {
-      wire::Packet pkt;
-      if (!::tspu::wire::load_state(pkt, r)) return false;
-      // Ranges and byte accounting derive from the fragments; rebuilding
-      // them here keeps the snapshot minimal and untrusted input honest.
-      const std::uint32_t off = pkt.ip.frag_offset;
-      const std::uint32_t end =
-          off + static_cast<std::uint32_t>(pkt.payload.size());
-      q.ranges.emplace_back(off, end);
-      q.bytes += pkt.payload.size();
-      q.fragments.push_back(std::move(pkt));
-    }
-    total_bytes += q.bytes;
-    const wire::FragmentKey key{util::Ipv4Addr(src), util::Ipv4Addr(dst),
-                                ip_id};
-    if (!loaded.emplace(key, std::move(q)).second) return false;
-  }
-  bool has_oldest = false;
-  if (!r.boolean(has_oldest)) return false;
-  std::optional<util::Instant> oldest;
-  if (has_oldest) {
-    std::int64_t oldest_us = 0;
-    if (!r.i64(oldest_us)) return false;
-    oldest = util::Instant::from_micros(oldest_us);
-  }
-  bool latched = false;
-  if (!r.boolean(latched)) return false;
-  std::array<std::uint64_t, 4> lanes{};
-  for (std::uint64_t& lane : lanes) {
-    if (!r.u64(lane)) return false;
-  }
-  if (!evict_rng_.set_state(lanes)) return false;
-  stats_ = stats;
-  queues_ = std::move(loaded);
-  buffered_bytes_ = total_bytes;
-  oldest_started_ = oldest;
-  overload_state_.restore(latched);
-  audit_cursor_ = wire::FragmentKey{};
-  return true;
 }
 
 }  // namespace tspu::core

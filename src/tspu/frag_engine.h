@@ -20,11 +20,6 @@
 #include "wire/fragment.h"
 #include "wire/ipv4.h"
 
-namespace tspu::util {
-class StateReader;
-class StateWriter;
-}  // namespace tspu::util
-
 namespace tspu::core {
 
 struct FragEngineStats {
@@ -83,17 +78,6 @@ class FragmentEngine {
   /// Total buffered fragment payload bytes — what max_bytes polices.
   std::size_t buffered_bytes() const { return buffered_bytes_; }
   const FragEngineStats& stats() const { return stats_; }
-
-  /// Checkpoint serialization: stats, every pending queue, the overload
-  /// latch, and the eviction RNG cursor. Timeout/budget config excluded
-  /// (replica construction owns it). Per-queue ranges/byte counts are
-  /// derived from the fragments, so they are recomputed on load rather
-  /// than trusted from the wire.
-  void save_state(util::StateWriter& w) const;
-
-  /// Replaces the engine's runtime state with a saved one; false on
-  /// truncation, out-of-range values, or duplicate queue keys.
-  bool load_state(util::StateReader& r);
 
  private:
   struct Queue {

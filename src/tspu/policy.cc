@@ -31,7 +31,6 @@ std::string_view reverse_lower(std::string_view host,
 
 void Policy::add_sni(const std::string& domain, SniPolicy behavior) {
   const std::string key = util::to_lower(domain);
-  sni_rules_[key] = behavior;
   rules_by_suffix_[std::string(key.rbegin(), key.rend())] = behavior;
 }
 

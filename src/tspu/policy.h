@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -50,21 +49,18 @@ class Policy {
   /// QUIC v1 fingerprint filtering toggle (switched on March 4, 2022).
   bool quic_blocking = true;
 
-  /// All registered SNI rules (used by what-does-it-block sweeps). Ordered
-  /// containers so sweeps iterate in a deterministic, reproducible order —
+  /// Ordered so sweeps iterate in a deterministic, reproducible order —
   /// tspulint bans unordered containers in src/tspu for this reason.
-  const std::map<std::string, SniPolicy>& sni_rules() const {
-    return sni_rules_;
-  }
   const std::set<util::Ipv4Addr>& blocked_ips() const {
     return blocked_ips_;
   }
 
-  std::size_t sni_rule_count() const { return sni_rules_.size(); }
+  /// Distinct registered domains: keys are lowercased, so spellings that
+  /// differ only in case count once.
+  std::size_t sni_rule_count() const { return rules_by_suffix_.size(); }
 
  private:
-  std::map<std::string, SniPolicy> sni_rules_;  // by lowercase domain
-  /// The same rules keyed by REVERSED lowercase domain in a sorted vector:
+  /// SNI rules keyed by REVERSED lowercase domain in a sorted vector:
   /// match_sni does one longest-prefix binary search here instead of a
   /// per-label map probe per suffix. The transparent comparator lets the
   /// search run on string_view needles without temporaries. mutable because

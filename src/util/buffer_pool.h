@@ -51,7 +51,6 @@ class BufferPool {
       FreeNode* node = free_[b];
       free_[b] = node->next;
       --count_[b];
-      --cached_total_;
       return node;
     }
     if (b >= 0) return ::operator new(block_size(b));
@@ -67,8 +66,6 @@ class BufferPool {
       node->next = free_[b];
       free_[b] = node;
       ++count_[b];
-      ++cached_total_;
-      if (cached_total_ > high_water_) high_water_ = cached_total_;
       return;
     }
 #endif
@@ -86,7 +83,6 @@ class BufferPool {
       }
       count_[b] = 0;
     }
-    cached_total_ = 0;
   }
 
   /// Total blocks currently cached (observability/tests).
@@ -94,18 +90,6 @@ class BufferPool {
     std::size_t total = 0;
     for (std::size_t b = 0; b < kBuckets; ++b) total += count_[b];
     return total;
-  }
-
-  /// Peak simultaneously-cached block count since construction (or the last
-  /// restore_high_water). Survives purge() on purpose: it is a campaign-long
-  /// footprint statistic, and checkpoints carry it across a resume so a
-  /// resumed run reports the same peak an uninterrupted one would.
-  std::size_t high_water() const { return high_water_; }
-
-  /// Restores a checkpointed peak; keeps the larger of the saved and the
-  /// locally observed value so the mark stays monotone.
-  void restore_high_water(std::size_t saved) {
-    if (saved > high_water_) high_water_ = saved;
   }
 
  private:
@@ -133,8 +117,6 @@ class BufferPool {
 
   FreeNode* free_[kBuckets] = {};
   std::size_t count_[kBuckets] = {};
-  std::size_t cached_total_ = 0;
-  std::size_t high_water_ = 0;
 };
 
 /// Per-worker payload-buffer cache. thread_local keeps shard workers from

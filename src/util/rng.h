@@ -5,7 +5,6 @@
 // is exactly reproducible from a seed.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -93,21 +92,6 @@ class Rng {
   /// Independent child stream; lets parallel components draw without
   /// perturbing each other's sequences.
   Rng fork() { return Rng(next() ^ 0xa5a5a5a5deadbeefull); }
-
-  /// Raw generator state, for checkpoint serialization: a resumed stream
-  /// must continue exactly where the interrupted one stopped, which a
-  /// reseed-from-scratch cannot reproduce mid-sequence.
-  std::array<std::uint64_t, 4> state() const {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-
-  /// Restores a state captured by state(). All-zero state is rejected
-  /// (xoshiro256** is never legally in it — the stream would be stuck).
-  bool set_state(const std::array<std::uint64_t, 4>& s) {
-    if ((s[0] | s[1] | s[2] | s[3]) == 0) return false;
-    for (std::size_t i = 0; i < 4; ++i) s_[i] = s[i];
-    return true;
-  }
 
  private:
   static constexpr std::uint64_t kDefaultSeed = 0x75b4c0ffee2022ull;

@@ -12,7 +12,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,13 +50,6 @@ class StateWriter {
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.append(s.data(), s.size());
-  }
-
-  /// Length-prefixed (u32) raw byte span — packet payloads and the like.
-  /// Copies element-wise so codec-dir callers never need memcpy/casts.
-  void bytes(std::span<const std::uint8_t> b) {
-    u32(static_cast<std::uint32_t>(b.size()));
-    for (const std::uint8_t v : b) buf_.push_back(static_cast<char>(v));
   }
 
   const std::string& data() const { return buf_; }
@@ -129,22 +121,6 @@ class StateReader {
     if (!u32(n)) return false;
     if (n > remaining()) return fail();
     out.assign(data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  /// Inverse of StateWriter::bytes into any vector-of-u8-like container
-  /// (util::Bytes, std::vector<uint8_t>). Length validated before reserve.
-  template <typename Vec>
-  bool bytes_into(Vec& out) {
-    std::uint32_t n = 0;
-    if (!u32(n)) return false;
-    if (n > remaining()) return fail();
-    out.clear();
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      out.push_back(static_cast<std::uint8_t>(data_[pos_ + i]));
-    }
     pos_ += n;
     return true;
   }

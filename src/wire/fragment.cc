@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/statecodec.h"
 
 namespace tspu::wire {
 
@@ -158,62 +157,5 @@ void Reassembler::expire(util::Instant now) {
   }
 }
 
-void Reassembler::save_state(util::StateWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(queues_.size()));
-  for (const auto& [key, q] : queues_) {
-    w.u32(key.src.value());
-    w.u32(key.dst.value());
-    w.u16(key.ip_id);
-    w.u32(static_cast<std::uint32_t>(q.fragments.size()));
-    // Qualified: the member save_state would otherwise hide the free one.
-    for (const Packet& f : q.fragments) ::tspu::wire::save_state(f, w);
-    w.u32(static_cast<std::uint32_t>(q.ranges.size()));
-    for (const auto& [lo, hi] : q.ranges) {
-      w.u32(lo);
-      w.u32(hi);
-    }
-    w.i64(q.started.as_micros());
-    w.boolean(q.saw_last);
-    w.u32(q.total_len);
-  }
-}
-
-bool Reassembler::load_state(util::StateReader& r) {
-  std::map<FragmentKey, Queue> loaded;
-  std::uint32_t n_queues = 0;
-  if (!r.u32(n_queues)) return false;
-  for (std::uint32_t i = 0; i < n_queues; ++i) {
-    FragmentKey key;
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    if (!r.u32(src) || !r.u32(dst) || !r.u16(key.ip_id)) return false;
-    key.src = util::Ipv4Addr(src);
-    key.dst = util::Ipv4Addr(dst);
-    Queue q;
-    std::uint32_t n_frags = 0;
-    if (!r.u32(n_frags)) return false;
-    for (std::uint32_t j = 0; j < n_frags; ++j) {
-      Packet f;
-      if (!::tspu::wire::load_state(f, r)) return false;
-      q.fragments.push_back(std::move(f));
-    }
-    std::uint32_t n_ranges = 0;
-    if (!r.u32(n_ranges)) return false;
-    for (std::uint32_t j = 0; j < n_ranges; ++j) {
-      std::uint32_t lo = 0;
-      std::uint32_t hi = 0;
-      if (!r.u32(lo) || !r.u32(hi)) return false;
-      q.ranges.emplace_back(lo, hi);
-    }
-    std::int64_t started_us = 0;
-    if (!r.i64(started_us) || !r.boolean(q.saw_last) || !r.u32(q.total_len)) {
-      return false;
-    }
-    q.started = util::Instant::from_micros(started_us);
-    if (!loaded.emplace(std::move(key), std::move(q)).second) return false;
-  }
-  queues_ = std::move(loaded);
-  return true;
-}
 
 }  // namespace tspu::wire

@@ -82,13 +82,6 @@ class Reassembler {
 
   std::size_t pending_queues() const { return queues_.size(); }
 
-  /// Checkpoint serialization of every pending queue (config excluded — it
-  /// belongs to construction, not to runtime state).
-  void save_state(util::StateWriter& w) const;
-
-  /// Replaces all pending queues with the saved set; false on garbage.
-  bool load_state(util::StateReader& r);
-
  private:
   struct Queue {
     std::vector<Packet> fragments;

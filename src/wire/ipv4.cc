@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/statecodec.h"
 #include "wire/checksum.h"
 
 namespace tspu::wire {
@@ -73,42 +72,6 @@ std::optional<Packet> parse_ipv4(std::span<const std::uint8_t> wire) {
   auto body = r.raw(total_len - 20);
   pkt.payload.assign(body.begin(), body.end());
   return pkt;
-}
-
-void save_state(const Packet& pkt, util::StateWriter& w) {
-  w.u32(pkt.ip.src.value());
-  w.u32(pkt.ip.dst.value());
-  w.u8(static_cast<std::uint8_t>(pkt.ip.proto));
-  w.u8(pkt.ip.ttl);
-  w.u16(pkt.ip.id);
-  w.u16(pkt.ip.frag_offset);
-  w.boolean(pkt.ip.more_fragments);
-  w.boolean(pkt.ip.dont_fragment);
-  w.u8(pkt.ip.tos);
-  w.bytes(pkt.payload);
-}
-
-bool load_state(Packet& pkt, util::StateReader& r) {
-  Packet p;
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-  std::uint8_t proto = 0;
-  if (!r.u32(src) || !r.u32(dst) || !r.u8(proto) || !r.u8(p.ip.ttl) ||
-      !r.u16(p.ip.id) || !r.u16(p.ip.frag_offset) ||
-      !r.boolean(p.ip.more_fragments) || !r.boolean(p.ip.dont_fragment) ||
-      !r.u8(p.ip.tos) || !r.bytes_into(p.payload)) {
-    return false;
-  }
-  if (proto != static_cast<std::uint8_t>(IpProto::kIcmp) &&
-      proto != static_cast<std::uint8_t>(IpProto::kTcp) &&
-      proto != static_cast<std::uint8_t>(IpProto::kUdp)) {
-    return false;
-  }
-  p.ip.src = util::Ipv4Addr(src);
-  p.ip.dst = util::Ipv4Addr(dst);
-  p.ip.proto = static_cast<IpProto>(proto);
-  pkt = std::move(p);
-  return true;
 }
 
 std::string summary(const Packet& pkt) {

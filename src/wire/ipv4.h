@@ -14,11 +14,6 @@
 #include "util/bytes.h"
 #include "util/ip.h"
 
-namespace tspu::util {
-class StateReader;
-class StateWriter;
-}  // namespace tspu::util
-
 namespace tspu::wire {
 
 /// IANA protocol numbers used in this project.
@@ -65,13 +60,5 @@ util::Bytes serialize(const Packet& pkt);
 
 /// One-line human dump, e.g. "10.1.0.2 > 93.184.0.9 TCP ttl=64 len=60".
 std::string summary(const Packet& pkt);
-
-/// Checkpoint serialization: header fields plus raw payload bytes. Distinct
-/// from serialize() — this is the snapshot codec (no checksum, explicit
-/// flags), not the wire format.
-void save_state(const Packet& pkt, util::StateWriter& w);
-
-/// Inverse of save_state; false on truncation or an unmodeled protocol.
-bool load_state(Packet& pkt, util::StateReader& r);
 
 }  // namespace tspu::wire

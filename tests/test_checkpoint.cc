@@ -1,10 +1,10 @@
 // Checkpoint/resume subsystem tests (runner/checkpoint.h + the codecs):
 //
-//  * encode -> decode -> encode byte-equality for every serializable struct
-//    (StateWriter primitives, Recorder, Packet, Reassembler, ConnTracker,
-//    FragmentEngine, Device, ScanRecord);
+//  * encode -> decode -> encode byte-equality for every snapshot codec
+//    (StateWriter primitives, Recorder, ScanRecord);
 //  * strict snapshot-file validation: any single-byte corruption, any
-//    truncation, bad magic/version/checksum all read back as nullopt;
+//    truncation, bad magic/version/checksum all read back as nullopt, and
+//    a version-1 snapshot (which carried shard-state blobs) is refused;
 //  * checkpointed_map semantics: kill-at-item-K + resume reproduces an
 //    uninterrupted run's results byte-for-byte at the same AND a different
 //    job count, campaign-identity mismatches are refused, SIGTERM latches;
@@ -12,7 +12,8 @@
 //    trigger overload.enter nor hold the latch once they age out;
 //  * end-to-end: a killed+resumed national scan and a killed+resumed
 //    scenario reliability cell produce byte-identical records, metrics
-//    JSON, and trace JSONL versus never having stopped, for jobs=1 and 4.
+//    JSON, and trace JSONL versus never having stopped, for jobs=1 and 4,
+//    across job counts, and across a resume of a resume.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -22,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "measure/ckptcodec.h"
-#include "measure/common.h"
 #include "measure/reliability.h"
 #include "measure/scan.h"
 #include "obs/obs.h"
@@ -32,7 +31,6 @@
 #include "topo/national.h"
 #include "topo/scenario.h"
 #include "tspu/conntrack.h"
-#include "tspu/device.h"
 #include "tspu/frag_engine.h"
 #include "util/statecodec.h"
 #include "wire/fragment.h"
@@ -70,8 +68,6 @@ TEST(StateCodec, PrimitivesRoundTripAndLatchOnTruncation) {
   w.boolean(true);
   w.boolean(false);
   w.str("hello");
-  const std::vector<std::uint8_t> payload{1, 2, 3};
-  w.bytes(payload);
 
   util::StateReader r(w.data());
   std::uint8_t a = 0;
@@ -82,10 +78,8 @@ TEST(StateCodec, PrimitivesRoundTripAndLatchOnTruncation) {
   double f = 0;
   bool t = false, fl = true;
   std::string s;
-  std::vector<std::uint8_t> back;
   EXPECT_TRUE(r.u8(a) && r.u16(b) && r.u32(c) && r.u64(d) && r.i64(e) &&
-              r.f64(f) && r.boolean(t) && r.boolean(fl) && r.str(s) &&
-              r.bytes_into(back));
+              r.f64(f) && r.boolean(t) && r.boolean(fl) && r.str(s));
   EXPECT_EQ(a, 0xab);
   EXPECT_EQ(b, 0xbeef);
   EXPECT_EQ(c, 0xdeadbeefu);
@@ -95,7 +89,6 @@ TEST(StateCodec, PrimitivesRoundTripAndLatchOnTruncation) {
   EXPECT_TRUE(t);
   EXPECT_FALSE(fl);
   EXPECT_EQ(s, "hello");
-  EXPECT_EQ(back, payload);
   EXPECT_TRUE(r.done());
 
   // Truncation at any prefix latches ok()==false and stays latched.
@@ -135,202 +128,7 @@ TEST(StateCodec, PrimitivesRoundTripAndLatchOnTruncation) {
 // The pattern everywhere: populate -> save (blob1) -> load into a FRESH
 // instance -> save again (blob2) -> blob1 == blob2. This is exactly the
 // property checkpointed_map relies on when it re-encodes decoded results
-// and restored shard state into the next snapshot.
-
-wire::Packet frag_source_packet(std::size_t size, std::uint16_t id) {
-  wire::Packet pkt;
-  pkt.ip.src = util::Ipv4Addr(10, 1, 2, 3);
-  pkt.ip.dst = util::Ipv4Addr(93, 184, 216, 34);
-  pkt.ip.id = id;
-  pkt.ip.ttl = 61;
-  pkt.payload.assign(size, 0x5c);
-  return pkt;
-}
-
-TEST(CodecRoundTrip, PacketByteEquality) {
-  const auto frags = wire::fragment(frag_source_packet(120, 9), 40);
-  ASSERT_GE(frags.size(), 2u);
-  for (const wire::Packet& pkt : frags) {
-    util::StateWriter w1;
-    wire::save_state(pkt, w1);
-    wire::Packet back;
-    util::StateReader r(w1.data());
-    ASSERT_TRUE(wire::load_state(back, r));
-    EXPECT_TRUE(r.done());
-    util::StateWriter w2;
-    wire::save_state(back, w2);
-    EXPECT_EQ(w1.data(), w2.data());
-  }
-}
-
-TEST(CodecRoundTrip, ReassemblerByteEquality) {
-  wire::ReassemblyConfig cfg;
-  wire::Reassembler a(cfg);
-  const util::Instant t0;
-  // Two incomplete datagrams, one of them missing its head.
-  const auto f1 = wire::fragment(frag_source_packet(120, 21), 40);
-  const auto f2 = wire::fragment(frag_source_packet(160, 22), 40);
-  a.push(f1[0], t0);
-  a.push(f1[2], t0 + util::Duration::millis(3));
-  a.push(f2[1], t0 + util::Duration::millis(5));
-  ASSERT_EQ(a.pending_queues(), 2u);
-
-  util::StateWriter w1;
-  a.save_state(w1);
-  wire::Reassembler b(cfg);
-  util::StateReader r(w1.data());
-  ASSERT_TRUE(b.load_state(r));
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(b.pending_queues(), 2u);
-  util::StateWriter w2;
-  b.save_state(w2);
-  EXPECT_EQ(w1.data(), w2.data());
-
-  // The restored reassembler is functionally live: completing datagram 1
-  // releases it.
-  EXPECT_TRUE(b.push(f1[1], t0 + util::Duration::millis(9)).has_value());
-}
-
-core::FlowKey flow_n(int i) {
-  core::FlowKey k;
-  k.local = util::Ipv4Addr(10, 0, 0, 1);
-  k.remote = util::Ipv4Addr(93, 184, 216, 34);
-  k.local_port = static_cast<std::uint16_t>(20000 + i);
-  k.remote_port = 443;
-  return k;
-}
-
-TEST(CodecRoundTrip, ConnTrackerByteEquality) {
-  core::ConnTracker a({}, {});
-  core::TableBudget budget;
-  budget.max_entries = 64;
-  budget.policy = core::EvictionPolicy::kEvictRandom;
-  a.set_budget(budget, {});
-  a.reseed_eviction(0xfeedull);
-
-  const util::Instant t0;
-  // A mix of states, blocks, and per-flow bookkeeping.
-  core::ConnEntry* e0 = a.admit_tcp(flow_n(0), wire::kSyn, true, t0);
-  ASSERT_NE(e0, nullptr);
-  core::ConnEntry* e1 = a.admit_tcp(flow_n(1), wire::kSynAck, false,
-                                    t0 + util::Duration::millis(2));
-  ASSERT_NE(e1, nullptr);
-  core::ConnEntry* e2 =
-      a.admit_tcp(flow_n(2), wire::kAck, true, t0 + util::Duration::millis(4));
-  ASSERT_NE(e2, nullptr);
-  e2->block = core::BlockMode::kSniThrottle;
-  e2->block_last_activity = t0 + util::Duration::millis(4);
-  e2->throttle_tokens = 123.5;
-  e2->throttle_refilled = t0 + util::Duration::millis(4);
-  e2->grace_remaining = 6;
-  e2->failure_drawn_mask = 0x3;
-  e2->failure_result_mask = 0x1;
-  e2->upstream_stream = {0xde, 0xad, 0xbe, 0xef};
-  core::FlowKey udp = flow_n(3);
-  udp.proto = wire::IpProto::kUdp;
-  ASSERT_NE(a.track_udp(udp, true, t0 + util::Duration::millis(6),
-                        /*create=*/true),
-            nullptr);
-
-  util::StateWriter w1;
-  a.save_state(w1);
-  core::ConnTracker b({}, {});
-  b.set_budget(budget, {});
-  util::StateReader r(w1.data());
-  ASSERT_TRUE(b.load_state(r));
-  EXPECT_TRUE(r.done());
-  util::StateWriter w2;
-  b.save_state(w2);
-  EXPECT_EQ(w1.data(), w2.data());
-
-  // Restored entries are live and carry their blocking state.
-  const util::Instant later = t0 + util::Duration::seconds(1);
-  core::ConnEntry* found = b.find(flow_n(2), later);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->block, core::BlockMode::kSniThrottle);
-  EXPECT_EQ(found->throttle_tokens, 123.5);
-
-  // Garbage is refused wholesale, never partially applied.
-  core::ConnTracker c({}, {});
-  util::StateReader bad(std::string_view(w1.data()).substr(0, w1.size() / 2));
-  EXPECT_FALSE(c.load_state(bad));
-  EXPECT_EQ(c.size(), 0u);
-}
-
-TEST(CodecRoundTrip, FragmentEngineByteEquality) {
-  core::TableBudget budget;
-  budget.max_entries = 32;
-  budget.max_bytes = 1 << 16;
-  core::FragmentEngine a{core::FragmentTimeouts{}};
-  a.set_budget(budget, {});
-  a.reseed_eviction(0x77ull);
-
-  const util::Instant t0;
-  // Incomplete queues: in-order head, out-of-order tail-first, TTL-probe
-  // shaped (distinct TTLs so first_ttl matters).
-  auto f1 = wire::fragment(frag_source_packet(120, 31), 40);
-  auto f2 = wire::fragment(frag_source_packet(120, 32), 40);
-  f2[1].ip.ttl = 3;
-  a.push(f1[0], t0);
-  a.push(f1[1], t0 + util::Duration::millis(1));
-  a.push(f2[2], t0 + util::Duration::millis(2));
-  a.push(f2[1], t0 + util::Duration::millis(3));
-  ASSERT_EQ(a.pending_queues(), 2u);
-  ASSERT_GT(a.buffered_bytes(), 0u);
-
-  util::StateWriter w1;
-  a.save_state(w1);
-  core::FragmentEngine b{core::FragmentTimeouts{}};
-  b.set_budget(budget, {});
-  util::StateReader r(w1.data());
-  ASSERT_TRUE(b.load_state(r));
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(b.pending_queues(), a.pending_queues());
-  EXPECT_EQ(b.buffered_bytes(), a.buffered_bytes());
-  util::StateWriter w2;
-  b.save_state(w2);
-  EXPECT_EQ(w1.data(), w2.data());
-
-  // The restored engine still completes the first datagram and rewrites the
-  // trailing fragment's TTL from the buffered offset-0 fragment.
-  auto out = b.push(f1[2], t0 + util::Duration::millis(9));
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].ip.ttl, 61);
-
-  core::FragmentEngine c{core::FragmentTimeouts{}};
-  util::StateReader bad(std::string_view(w1.data()).substr(0, w1.size() - 3));
-  EXPECT_FALSE(c.load_state(bad));
-  EXPECT_EQ(c.pending_queues(), 0u);
-}
-
-TEST(CodecRoundTrip, DeviceByteEquality) {
-  // Two replicas of the same world; run real traffic through A, then move
-  // every device's state onto B and re-encode: byte-identical.
-  topo::ScenarioConfig cfg;
-  cfg.corpus.scale = 0.01;
-  topo::Scenario a(cfg);
-  topo::Scenario b(cfg);
-  a.begin_trial(0x1234);
-  measure::reset_fresh_port();
-  measure::reliability_trial(a, a.vp("ER-Telecom"),
-                             measure::TriggerKind::kSniI, {});
-  a.settle();
-
-  const auto dev_a = a.devices();
-  const auto dev_b = b.devices();
-  ASSERT_EQ(dev_a.size(), dev_b.size());
-  ASSERT_FALSE(dev_a.empty());
-  for (std::size_t i = 0; i < dev_a.size(); ++i) {
-    util::StateWriter w1;
-    dev_a[i]->save_state(w1);
-    util::StateReader r(w1.data());
-    ASSERT_TRUE(dev_b[i]->load_state(r)) << "device " << i;
-    EXPECT_TRUE(r.done());
-    util::StateWriter w2;
-    dev_b[i]->save_state(w2);
-    EXPECT_EQ(w1.data(), w2.data()) << "device " << i;
-  }
-}
+// and recorder state into the next snapshot.
 
 TEST(CodecRoundTrip, RecorderByteEquality) {
   obs::TraceConfig cfg;
@@ -440,7 +238,6 @@ runner::Snapshot sample_snapshot() {
   snap.shard_count = 2;
   snap.results = {{0, "alpha"}, {1, std::string("\x00\x01", 2)}, {2, ""}};
   snap.recorder_blobs = {"rec0", "rec1"};
-  snap.shard_blobs = {"shard0", ""};
   return snap;
 }
 
@@ -456,7 +253,6 @@ TEST(Snapshot, WriteReadRoundTrip) {
   EXPECT_EQ(back->shard_count, snap.shard_count);
   EXPECT_EQ(back->results, snap.results);
   EXPECT_EQ(back->recorder_blobs, snap.recorder_blobs);
-  EXPECT_EQ(back->shard_blobs, snap.shard_blobs);
   // No stray .tmp left behind by the atomic rename.
   EXPECT_TRUE(slurp(path + ".tmp").empty());
 }
@@ -498,6 +294,20 @@ TEST(Snapshot, EveryTruncationAndTrailingGarbageIsRejected) {
   EXPECT_FALSE(runner::read_snapshot(mutated));
 }
 
+TEST(Snapshot, VersionOneIsRefused) {
+  const std::string path = tmp_path("v1.ckpt");
+  ASSERT_TRUE(runner::write_snapshot(path, sample_snapshot()));
+  const std::string good = slurp(path);
+  // Header: u32 magic, u32 version (little-endian), u32 body_len, u64
+  // checksum over the body only, so patching the version keeps the
+  // checksum valid: only the version check can refuse this file.
+  ASSERT_EQ(good[4], '\x02');
+  std::string v1 = good;
+  v1[4] = '\x01';
+  spew(path, v1);
+  EXPECT_FALSE(runner::read_snapshot(path));
+}
+
 // ----------------------------------------------------- checkpointed_map
 
 /// The smallest useful campaign: item i's result is item_seed(root, i), a
@@ -511,14 +321,6 @@ struct IntCodec {
   std::uint64_t identity() const { return ident; }
   void encode(const std::uint64_t& v, util::StateWriter& w) const { w.u64(v); }
   bool decode(std::uint64_t& v, util::StateReader& r) const { return r.u64(v); }
-  void save_shard(IntShard& s, util::StateWriter& w) const {
-    w.u32(static_cast<std::uint32_t>(s.shard) + 100);
-  }
-  bool load_shard(IntShard& s, util::StateReader& r) const {
-    std::uint32_t v = 0;
-    if (!r.u32(v)) return false;
-    return v == static_cast<std::uint32_t>(s.shard) + 100;
-  }
 };
 
 std::vector<std::uint64_t> run_int_campaign(std::size_t n, int jobs,
@@ -629,6 +431,25 @@ TEST(CheckpointedMap, SigtermLatchInterruptsAtWaveBarrier) {
 }
 
 // ------------------------------------------------- lazy-expiry regressions
+
+wire::Packet frag_source_packet(std::size_t size, std::uint16_t id) {
+  wire::Packet pkt;
+  pkt.ip.src = util::Ipv4Addr(10, 1, 2, 3);
+  pkt.ip.dst = util::Ipv4Addr(93, 184, 216, 34);
+  pkt.ip.id = id;
+  pkt.ip.ttl = 61;
+  pkt.payload.assign(size, 0x5c);
+  return pkt;
+}
+
+core::FlowKey flow_n(int i) {
+  core::FlowKey k;
+  k.local = util::Ipv4Addr(10, 0, 0, 1);
+  k.remote = util::Ipv4Addr(93, 184, 216, 34);
+  k.local_port = static_cast<std::uint16_t>(20000 + i);
+  k.remote_port = 443;
+  return k;
+}
 
 TEST(OverloadRegression, ExpiredConnEntriesDoNotTriggerOverloadEnter) {
   obs::Recorder rec;
@@ -843,6 +664,19 @@ E2ERun run_national(int jobs, const runner::CheckpointOptions& ckpt) {
   return run;
 }
 
+/// One interrupted generation of the national scan: its recorder state
+/// lives on only inside the snapshot it leaves at `kill.path`.
+void interrupt_national(int jobs, const runner::CheckpointOptions& kill) {
+  obs::TraceConfig tc;
+  tc.enabled = true;
+  tc.per_item_cap = 4096;
+  obs::Recorder rec(tc);
+  obs::RecorderScope scope(rec);
+  EXPECT_THROW(measure::parallel_scan_checkpointed(
+                   national_config(), national_scan_config(), kill, jobs),
+               runner::CampaignInterrupted);
+}
+
 TEST(CheckpointResume, NationalScanKillResumeByteIdentical) {
   for (int jobs : {1, 4}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
@@ -856,18 +690,7 @@ TEST(CheckpointResume, NationalScanKillResumeByteIdentical) {
     kill.path = path;
     kill.every_n_items = 4;
     kill.abort_after_items = 5;
-    {
-      // The interrupted generation: its recorder state lives on only inside
-      // the snapshot.
-      obs::TraceConfig tc;
-      tc.enabled = true;
-      tc.per_item_cap = 4096;
-      obs::Recorder rec(tc);
-      obs::RecorderScope scope(rec);
-      EXPECT_THROW(measure::parallel_scan_checkpointed(
-                       national_config(), national_scan_config(), kill, jobs),
-                   runner::CampaignInterrupted);
-    }
+    interrupt_national(jobs, kill);
     const auto snap = runner::read_snapshot(path);
     ASSERT_TRUE(snap.has_value());
     EXPECT_GT(snap->next_index, 0u);
@@ -887,31 +710,53 @@ TEST(CheckpointResume, NationalScanKillResumeByteIdentical) {
 }
 
 TEST(CheckpointResume, NationalScanResumeAtDifferentJobCount) {
-  // Killed at jobs=4, resumed at jobs=2: the shard blobs are set aside and
-  // fresh replicas take over — the determinism contract still yields the
-  // jobs=1 baseline byte-for-byte.
+  // Killed at jobs=4, resumed at jobs=2 on fresh replicas: the determinism
+  // contract still yields the jobs=1 baseline byte-for-byte.
   const E2ERun baseline = run_national(1, runner::CheckpointOptions{});
   const std::string path = tmp_path("national_cross_jobs.ckpt");
   runner::CheckpointOptions kill;
   kill.path = path;
   kill.every_n_items = 4;
   kill.abort_after_items = 5;
-  {
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    tc.per_item_cap = 4096;
-    obs::Recorder rec(tc);
-    obs::RecorderScope scope(rec);
-    EXPECT_THROW(measure::parallel_scan_checkpointed(
-                     national_config(), national_scan_config(), kill, 4),
-                 runner::CampaignInterrupted);
-  }
+  interrupt_national(4, kill);
   runner::CheckpointOptions resume;
   resume.path = path;
   resume.resume = true;
   resume.every_n_items = 4;
   const E2ERun resumed = run_national(2, resume);
   EXPECT_EQ(resumed.records_blob, baseline.records_blob);
+  EXPECT_EQ(resumed.metrics_json, baseline.metrics_json);
+  EXPECT_EQ(resumed.trace_jsonl, baseline.trace_jsonl);
+}
+
+TEST(CheckpointResume, NationalScanResumeOfResumeAcrossJobCounts) {
+  // Three generations at three job counts: killed at jobs=4, resumed at
+  // jobs=1 and killed again, then finished at jobs=2. The second snapshot
+  // must carry the first generation's recorder blobs forward.
+  const E2ERun baseline = run_national(1, runner::CheckpointOptions{});
+  const std::string path = tmp_path("national_resume_of_resume.ckpt");
+  runner::CheckpointOptions opts;
+  opts.path = path;
+  opts.every_n_items = 1;  // one item per shard per wave
+  opts.abort_after_items = 5;
+  interrupt_national(4, opts);
+  const auto first = runner::read_snapshot(path);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->next_index, 8u);
+
+  opts.resume = true;
+  opts.abort_after_items = 9;
+  interrupt_national(1, opts);
+  const auto second = runner::read_snapshot(path);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->next_index, 9u);
+  EXPECT_EQ(second->shard_count, 1u);
+  EXPECT_EQ(second->recorder_blobs.size(), first->recorder_blobs.size() + 1);
+
+  opts.abort_after_items = 0;
+  const E2ERun resumed = run_national(2, opts);
+  EXPECT_EQ(resumed.records_blob, baseline.records_blob);
+  EXPECT_EQ(resumed.summary_digest, baseline.summary_digest);
   EXPECT_EQ(resumed.metrics_json, baseline.metrics_json);
   EXPECT_EQ(resumed.trace_jsonl, baseline.trace_jsonl);
 }

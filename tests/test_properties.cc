@@ -101,6 +101,12 @@ struct OpeningCase {
   const char* name;
 };
 
+// Without this gtest names each case by a byte dump of the struct, whose
+// pointers change from build to build. Prints Table 8's notation ("Lsa").
+void PrintTo(const OpeningCase& c, std::ostream* os) {
+  *os << (c.from_local ? 'L' : 'R') << c.flags;
+}
+
 class ConntrackOpening : public ::testing::TestWithParam<OpeningCase> {};
 
 TEST_P(ConntrackOpening, FirstPacketDecidesInitiator) {
@@ -163,6 +169,9 @@ struct BlockCase {
   int seconds;
   const char* name;
 };
+
+// Names each case by its expected residual, not by the struct's bytes.
+void PrintTo(const BlockCase& c, std::ostream* os) { *os << c.seconds << 's'; }
 
 class BlockTimeoutMap : public ::testing::TestWithParam<BlockCase> {};
 

@@ -17,6 +17,13 @@ struct Row {
   int timeout;        ///< model's expected flip (seconds)
 };
 
+// Without this gtest names each row by a byte dump of the struct, whose
+// pointers change from build to build.
+void PrintTo(const Row& row, std::ostream* os) {
+  for (const auto& step : row.prefix) *os << step << ' ';
+  *os << "Lt: " << (row.drop ? "drop " : "pass ") << row.timeout << 's';
+}
+
 class Table8Row : public ::testing::TestWithParam<Row> {
  protected:
   static topo::Scenario& scenario() {

@@ -35,6 +35,17 @@ TEST(Policy, SniSubdomainMatch) {
   EXPECT_FALSE(p.match_sni("facebook.org"));
   EXPECT_FALSE(p.match_sni("notfacebook.com"));
   EXPECT_FALSE(p.match_sni("com"));
+
+  // Another spelling of the same domain replaces the rule, not adds one.
+  EXPECT_EQ(p.sni_rule_count(), 1u);
+  SniPolicy drop;
+  drop.delayed_drop = true;
+  p.add_sni("Facebook.COM", drop);
+  EXPECT_EQ(p.sni_rule_count(), 1u);
+  const auto replaced = p.match_sni("api.facebook.com");
+  ASSERT_TRUE(replaced);
+  EXPECT_TRUE(replaced->delayed_drop);
+  EXPECT_FALSE(replaced->rst_ack);
 }
 
 TEST(Policy, IpBlocklist) {

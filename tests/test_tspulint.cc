@@ -85,7 +85,6 @@ TEST(Tspulint, BadTreeFiresEveryRuleExactly) {
       {{"hotpath-parse", "src/tspu/parsebad.cc"}, 2},
       {{"hotpath-parse", "src/ispdpi/parsebad.cc"}, 1},
       {{"budget-gauge", "src/tspu/budgetbad.cc"}, 1},
-      {{"ckpt-coverage", "src/topo/ckptbad.cc"}, 1},
       {{"raw-buffer-copy", "src/wire/copybad.cc"}, 1},
       {{"raw-buffer-index", "src/wire/indexbad.cc"}, 2},
       {{"stale-allow", "src/wire/staleallow.cc"}, 1},

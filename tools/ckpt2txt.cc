@@ -69,14 +69,12 @@ int main(int argc, char** argv) {
               snap->results.size(), result_bytes);
   std::printf("recorder blobs  %zu blob(s), %" PRIu64 " byte(s)\n",
               snap->recorder_blobs.size(), total_bytes(snap->recorder_blobs));
-  std::printf("shard blobs     %zu blob(s), %" PRIu64 " byte(s)\n",
-              snap->shard_blobs.size(), total_bytes(snap->shard_blobs));
   // More recorder blobs than shards means inherited generations: this
   // snapshot was itself written by a resumed campaign.
-  if (snap->recorder_blobs.size() > snap->shard_blobs.size()) {
+  if (snap->recorder_blobs.size() > snap->shard_count) {
     std::printf("generations     resumed campaign (%zu inherited recorder "
                 "blob(s))\n",
-                snap->recorder_blobs.size() - snap->shard_blobs.size());
+                snap->recorder_blobs.size() - snap->shard_count);
   }
 
   if (list_blobs) {

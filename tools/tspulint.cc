@@ -102,16 +102,6 @@
 //                       also publish an occupancy gauge — saturation the
 //                       flight recorder cannot see is undebuggable
 //                       (docs/overload.md).
-//   ckpt-coverage       src/ *.cc: every stateful reset/reseed hook called
-//                       from a begin_trial / reseed / reseed_stochastic
-//                       definition (callee idents prefixed reset_ / reseed /
-//                       seed_ / anchor_) must be listed — as a string
-//                       literal — in the checkpoint codec registry
-//                       (kCheckpointCodecRegistry, runner/checkpoint.cc).
-//                       State that the trial-isolation path resets is
-//                       exactly the state a checkpoint must capture or
-//                       re-derive; a hook missing from the registry means a
-//                       resume silently diverges (docs/checkpointing.md).
 //
 // Output modes:
 //   tspulint <root>...                   human "file:line: rule: message"
@@ -1282,84 +1272,6 @@ void lint_shard_escape(Linter& lint, std::map<std::string, SourceFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// ckpt-coverage
-// ---------------------------------------------------------------------------
-
-/// Extracts the contents of every double-quoted string literal in `text`.
-/// The lexer drops string contents before the rules run, so the registry
-/// scan re-reads the raw bytes of the registry TU itself. Good enough for
-/// the registry idiom (plain literals, no escapes needed in hook names).
-std::set<std::string> raw_string_literals(const std::string& text) {
-  std::set<std::string> out;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '"') continue;
-    std::string lit;
-    std::size_t j = i + 1;
-    for (; j < text.size() && text[j] != '"' && text[j] != '\n'; ++j) {
-      if (text[j] == '\\' && j + 1 < text.size()) ++j;
-      lit += text[j];
-    }
-    if (j < text.size() && text[j] == '"') out.insert(lit);
-    i = j;
-  }
-  return out;
-}
-
-void lint_ckpt_coverage(Linter& lint,
-                        std::map<std::string, SourceFile>& files) {
-  // Hook names listed in any checkpoint codec registry, across the tree.
-  // A registry TU is any file whose tokens mention kCheckpointCodecRegistry.
-  std::set<std::string> covered;
-  for (auto& [rel, f] : files) {
-    bool is_registry = false;
-    for (const Tok& t : f.toks) {
-      if (t.kind == Tok::Kind::kIdent && t.text == "kCheckpointCodecRegistry") {
-        is_registry = true;
-        break;
-      }
-    }
-    if (!is_registry) continue;
-    std::ifstream in(f.abs, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    for (const std::string& lit : raw_string_literals(buf.str()))
-      covered.insert(lit);
-  }
-
-  const std::set<std::string> trial_fns = {"begin_trial", "reseed",
-                                           "reseed_stochastic"};
-  const std::vector<std::string> prefixes = {"reset_", "reseed", "seed_",
-                                             "anchor_"};
-  for (auto& [rel, f] : files) {
-    if (rel.rfind("src/", 0) != 0) continue;  // tests may stub trial hooks
-    for (const FuncSymbol& fn : f.funcs) {
-      if (!trial_fns.count(fn.name)) continue;
-      std::set<std::string> seen;  // one finding per (function, callee)
-      for (std::size_t i = fn.body_begin;
-           i + 1 < fn.body_end && i < f.toks.size(); ++i) {
-        const Tok& t = f.toks[i];
-        if (t.kind != Tok::Kind::kIdent) continue;
-        if (!is(tok_at(f.toks, i + 1), "(")) continue;
-        bool prefixed = false;
-        for (const std::string& p : prefixes) {
-          if (t.text.rfind(p, 0) == 0) prefixed = true;
-        }
-        if (!prefixed || covered.count(t.text) || !seen.insert(t.text).second)
-          continue;
-        lint.report(
-            f, t.line, "ckpt-coverage",
-            "trial-isolation hook '" + t.text + "' called from " + fn.name +
-                " is not listed in the checkpoint codec registry "
-                "(kCheckpointCodecRegistry) — state this hook resets is state "
-                "a checkpoint must capture or re-derive, so an unregistered "
-                "hook makes resume silently diverge (docs/checkpointing.md)",
-            t.text);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // stale-allow
 // ---------------------------------------------------------------------------
 
@@ -1573,7 +1485,6 @@ int main(int argc, char** argv) {
   }
   const Reachability reach = compute_reachability(files);
   lint_shard_escape(lint, files, reach);
-  lint_ckpt_coverage(lint, files);
   lint_stale_allows(lint, files);
 
   std::sort(lint.findings.begin(), lint.findings.end(),
