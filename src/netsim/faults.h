@@ -99,8 +99,9 @@ struct FlapWindow {
 bool flap_down(const std::vector<FlapWindow>& flaps,
                util::Duration since_epoch);
 
-/// Everything that can go wrong on one link. Installed per-link via
-/// Network::set_link_faults or network-wide via set_default_link_faults.
+/// Everything that can go wrong on a link. Installed network-wide via
+/// Network::set_default_link_faults; each link direction draws from its own
+/// stream.
 struct LinkFaultPlan {
   /// Extra i.i.d. loss drawn from the link's own fault stream (the legacy
   /// set_link_loss knob draws from a single shared RNG instead).

@@ -1,7 +1,9 @@
 #include "netsim/network.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <tuple>
 
 #include "netsim/middlebox.h"
 #include "obs/obs.h"
@@ -77,18 +79,67 @@ NodeId Network::add(std::unique_ptr<Node> node) {
 }
 
 void Network::link(NodeId a, NodeId b, util::Duration delay) {
-  edges_[{a, b}] = delay;
-  edges_[{b, a}] = delay;
+  if (a >= nodes_.size() || b >= nodes_.size())
+    throw std::invalid_argument("link: no such node");
+  if (delay < util::Duration::micros(0))
+    throw std::invalid_argument("link: negative delay");
+  links_.push_back(Link{a, b, delay});
+  links_.push_back(Link{b, a, delay});
+}
+
+const Network::Link* Network::indexed_link(NodeId from, NodeId to) const {
+  if (std::size_t{from} + 1 >= link_index_.size()) return nullptr;
+  const Link* first = links_.data() + link_index_[from];
+  const Link* last = links_.data() + link_index_[from + 1];
+  const Link* it = std::lower_bound(
+      first, last, to, [](const Link& l, NodeId id) { return l.to < id; });
+  return it != last && it->to == to ? it : nullptr;
+}
+
+const Network::Link* Network::find_link(NodeId from, NodeId to) {
+  if (indexed_ != links_.size()) index_links();
+  return indexed_link(from, to);
+}
+
+void Network::index_links() {
+  // Stable, so the newest of a pair's records stays last in its run.
+  std::stable_sort(links_.begin(), links_.end(),
+                   [](const Link& x, const Link& y) {
+                     return std::tie(x.from, x.to) < std::tie(y.from, y.to);
+                   });
+  auto out = links_.begin();
+  for (auto it = links_.begin(); it != links_.end(); ++it) {
+    const auto next = it + 1;
+    if (next != links_.end() && next->from == it->from && next->to == it->to)
+      continue;  // superseded by a newer record
+    if (it->delay != kUnlinked) *out++ = *it;
+  }
+  links_.erase(out, links_.end());
+  indexed_ = links_.size();
+  link_index_.assign(nodes_.size() + 1, 0);
+  for (const Link& l : links_) ++link_index_[l.from + 1];
+  std::partial_sum(link_index_.begin(), link_index_.end(),
+                   link_index_.begin());
 }
 
 NodeId Network::insert_inline(NodeId a, NodeId b,
                               std::unique_ptr<Middlebox> box) {
-  const auto* edge = edges_.find({a, b});
-  if (edge == nullptr)
+  // Resolve a->b as it stands without re-indexing, so a build that splices
+  // boxes between link() calls still sorts once: the newest un-indexed
+  // record wins, else the index.
+  const Link* edge = nullptr;
+  for (auto it = links_.rbegin(); it != links_.rend() - indexed_; ++it) {
+    if (it->from == a && it->to == b) {
+      edge = &*it;
+      break;
+    }
+  }
+  if (edge == nullptr) edge = indexed_link(a, b);
+  if (edge == nullptr || edge->delay == kUnlinked)
     throw std::invalid_argument("insert_inline: nodes are not linked");
-  const util::Duration delay = edge->second;
-  edges_.erase({a, b});
-  edges_.erase({b, a});
+  const util::Duration delay = edge->delay;
+  links_.push_back(Link{a, b, kUnlinked});
+  links_.push_back(Link{b, a, kUnlinked});
 
   Middlebox* raw = box.get();
   const NodeId m = add(std::move(box));
@@ -116,21 +167,8 @@ void Network::set_link_loss(NodeId a, NodeId b, double probability) {
   loss_[{b, a}] = probability;
 }
 
-void Network::set_link_faults(NodeId a, NodeId b, LinkFaultPlan plan) {
-  fault_plans_[{a, b}] = plan;
-  fault_plans_[{b, a}] = std::move(plan);
-}
-
 void Network::set_default_link_faults(LinkFaultPlan plan) {
-  default_fault_plan_ = std::move(plan);
-  has_default_fault_plan_ = true;
-}
-
-void Network::clear_link_faults() {
-  fault_plans_ = {};
-  fault_states_ = {};
-  default_fault_plan_ = {};
-  has_default_fault_plan_ = false;
+  fault_plan_ = std::move(plan);
 }
 
 void Network::reseed_fault_rngs(std::uint64_t seed) {
@@ -138,14 +176,6 @@ void Network::reseed_fault_rngs(std::uint64_t seed) {
   fault_epoch_ = sim_.now();
   fault_states_ = {};
   fault_stats_ = {};
-}
-
-const LinkFaultPlan* Network::fault_plan(NodeId from, NodeId to) const {
-  if (!fault_plans_.empty()) {
-    const auto* e = fault_plans_.find({from, to});
-    if (e != nullptr) return &e->second;
-  }
-  return has_default_fault_plan_ ? &default_fault_plan_ : nullptr;
 }
 
 Network::LinkFaultState& Network::fault_state(NodeId from, NodeId to) {
@@ -157,8 +187,8 @@ Network::LinkFaultState& Network::fault_state(NodeId from, NodeId to) {
   return st;
 }
 
-bool Network::fault_link_down(NodeId from, NodeId to) const {
-  const LinkFaultPlan* plan = fault_plan(from, to);
+bool Network::links_down() const {
+  const LinkFaultPlan* plan = fault_plan();
   if (plan == nullptr || plan->flaps.empty()) return false;
   return flap_down(plan->flaps, sim_.now() - fault_epoch_);
 }
@@ -178,14 +208,14 @@ void Network::deliver_scheduled(NodeId from, NodeId to, wire::Packet pkt) {
   // A link that flapped down while the packet was in flight eats it at
   // the delivery instant — send-time checks alone would let a packet
   // "tunnel through" an outage that started after transmission.
-  if (fault_link_down(from, to)) {
+  if (links_down()) {
     ++fault_stats_.dropped_down;
     TSPU_OBS_COUNT("netsim.drop.link_down");
     if (obs::tracing())
       trace_link_event("drop.link_down", *this, from, to, sim_.now(), pkt);
     return;
   }
-  TSPU_AUDIT(!fault_link_down(from, to),
+  TSPU_AUDIT(!links_down(),
              "downed link must never deliver a packet");
   TSPU_OBS_COUNT("netsim.delivered");
   if (obs::tracing())
@@ -194,10 +224,11 @@ void Network::deliver_scheduled(NodeId from, NodeId to, wire::Packet pkt) {
 }
 
 void Network::transmit(NodeId from, NodeId to, wire::Packet pkt) {
-  const auto* edge = edges_.find({from, to});
-  if (edge == nullptr)
+  const Link* link = find_link(from, to);
+  if (link == nullptr)
     throw std::logic_error("transmit over non-existent link " +
                            node(from).name() + " -> " + node(to).name());
+  const util::Duration link_delay = link->delay;
   if (!loss_.empty()) {
     const auto* loss = loss_.find({from, to});
     if (loss != nullptr && loss_rng_.bernoulli(loss->second)) {
@@ -207,9 +238,9 @@ void Network::transmit(NodeId from, NodeId to, wire::Packet pkt) {
       return;  // transient loss: the packet simply vanishes
     }
   }
-  const LinkFaultPlan* plan = fault_plan(from, to);
+  const LinkFaultPlan* plan = fault_plan();
   if (plan == nullptr || !plan->any()) {
-    deliver(from, to, std::move(pkt), edge->second);
+    deliver(from, to, std::move(pkt), link_delay);
     return;
   }
 
@@ -279,7 +310,7 @@ void Network::transmit(NodeId from, NodeId to, wire::Packet pkt) {
       ++fault_stats_.corrupted;
       TSPU_OBS_COUNT("netsim.corrupt");
     }
-    util::Duration delay = edge->second;
+    util::Duration delay = link_delay;
     if (plan->reorder_prob > 0.0 && st.rng.bernoulli(plan->reorder_prob)) {
       delay = delay + plan->reorder_delay;
       ++fault_stats_.reordered;
@@ -293,17 +324,9 @@ void Network::transmit(NodeId from, NodeId to, wire::Packet pkt) {
   }
 }
 
-bool Network::linked(NodeId a, NodeId b) const {
-  return edges_.count({a, b}) != 0;
-}
-
 NodeId Network::find_by_addr(util::Ipv4Addr addr) const {
   const auto* e = by_addr_.find(addr);
   return e == nullptr ? kInvalidNode : e->second;
-}
-
-util::Duration Network::delay_of(NodeId a, NodeId b) const {
-  return edges_.at({a, b});
 }
 
 }  // namespace tspu::netsim

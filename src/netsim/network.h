@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "netsim/faults.h"
@@ -28,6 +29,7 @@ class Network final : private PacketSink {
   NodeId add(std::unique_ptr<Node> node);
 
   /// Creates a bidirectional link with the given one-way propagation delay.
+  /// Linking a pair again replaces its delay.
   void link(NodeId a, NodeId b, util::Duration delay = util::Duration::millis(1));
 
   /// Sets a random-loss probability on the (bidirectional) a—b link. The
@@ -39,16 +41,10 @@ class Network final : private PacketSink {
   /// Seeds the deterministic RNG behind link loss.
   void seed_loss_rng(std::uint64_t seed) { loss_rng_.reseed(seed); }
 
-  /// Installs a fault plan on the (bidirectional) a—b link; each direction
-  /// keeps its own chain state and RNG stream. Overwrites a prior plan.
-  void set_link_faults(NodeId a, NodeId b, LinkFaultPlan plan);
-
-  /// Fault plan applied to every link without a per-link plan — the way the
-  /// national fault-matrix benches degrade the whole topology at once.
+  /// Fault plan applied to every link — the way the national fault-matrix
+  /// benches degrade the whole topology at once. Each link direction keeps
+  /// its own chain state and RNG stream. Overwrites a prior plan.
   void set_default_link_faults(LinkFaultPlan plan);
-
-  /// Removes every fault plan (per-link and default) and all chain state.
-  void clear_link_faults();
 
   /// Rotates the root behind every per-link fault stream, marks the current
   /// sim instant as the trial epoch for flap windows, and resets chain
@@ -57,8 +53,9 @@ class Network final : private PacketSink {
   /// across job counts.
   void reseed_fault_rngs(std::uint64_t seed);
 
-  /// True when a fault plan currently holds the from->to link down.
-  bool fault_link_down(NodeId from, NodeId to) const;
+  /// True when the fault plan's flap windows currently hold the links down
+  /// (every link shares the one plan, so every link is down together).
+  bool links_down() const;
 
   const LinkFaultStats& fault_stats() const { return fault_stats_; }
 
@@ -74,8 +71,6 @@ class Network final : private PacketSink {
   /// Delivers `pkt` directly onto the link from `from` to `to` (used by
   /// middleboxes, which forward by interface rather than by routing).
   void transmit(NodeId from, NodeId to, wire::Packet pkt);
-
-  bool linked(NodeId a, NodeId b) const;
 
   Node& node(NodeId id) { return *nodes_.at(id); }
   const Node& node(NodeId id) const { return *nodes_.at(id); }
@@ -100,10 +95,29 @@ class Network final : private PacketSink {
     util::Instant last_packet;
   };
 
-  util::Duration delay_of(NodeId a, NodeId b) const;
+  /// One direction of a link. Records are appended by link() and
+  /// insert_inline(); the newest record for a pair wins, and a record with
+  /// delay kUnlinked removes the pair.
+  struct Link {
+    NodeId from;
+    NodeId to;
+    util::Duration delay;
+  };
+  static constexpr util::Duration kUnlinked = util::Duration::micros(-1);
 
-  /// The plan governing from->to, or nullptr when no fault applies.
-  const LinkFaultPlan* fault_plan(NodeId from, NodeId to) const;
+  /// The indexed from->to link, or nullptr. Re-indexes first if the
+  /// topology changed since the last lookup.
+  const Link* find_link(NodeId from, NodeId to);
+  /// The from->to link in the index as it stands, or nullptr.
+  const Link* indexed_link(NodeId from, NodeId to) const;
+  /// Sorts links_ by (from, to), keeps the newest record per pair, drops
+  /// removals and rebuilds link_index_.
+  void index_links();
+
+  /// The plan governing every link, or nullptr when no fault applies.
+  const LinkFaultPlan* fault_plan() const {
+    return fault_plan_ ? &*fault_plan_ : nullptr;
+  }
   /// Lazily creates the per-direction chain state, seeded statelessly.
   LinkFaultState& fault_state(NodeId from, NodeId to);
 
@@ -122,22 +136,28 @@ class Network final : private PacketSink {
   Simulator sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<RoutingTable> tables_;
-  // Adjacency with per-direction delays (delays are symmetric today, but the
-  // map is directional so asymmetric-latency scenarios stay possible). Flat
-  // maps: transmit() resolves an edge per packet-hop, and find_by_addr runs
-  // per probe, so these are the simulator's hottest lookups.
-  util::FlatMap<std::pair<NodeId, NodeId>, util::Duration> edges_;
+  // Directed links (delays are symmetric today, but records are per
+  // direction so asymmetric-latency scenarios stay possible). transmit()
+  // resolves a link per packet hop, the simulator's hottest lookup: the
+  // index links_[0, indexed_) is sorted by (from, to), and node n's links
+  // are links_[link_index_[n], link_index_[n + 1]), so a hop searches only
+  // its own node's links. Topology changes append past indexed_ and the
+  // next lookup re-indexes, so a build pays one sort rather than a sorted
+  // insert per link.
+  std::vector<Link> links_;
+  // One offset per node that existed at the last re-index, plus the end.
+  std::vector<std::uint32_t> link_index_{0};
+  std::size_t indexed_ = 0;
   util::FlatMap<std::pair<NodeId, NodeId>, double> loss_;
   util::Rng loss_rng_{0x105511ull};
-  // Fault-injection layer (netsim/faults.h). Plans are per-direction;
-  // chain/RNG state is created lazily with order-independent seeds.
-  util::FlatMap<std::pair<NodeId, NodeId>, LinkFaultPlan> fault_plans_;
-  LinkFaultPlan default_fault_plan_;
-  bool has_default_fault_plan_ = false;
+  // Fault-injection layer (netsim/faults.h). Chain/RNG state is kept per
+  // direction, created lazily with order-independent seeds.
+  std::optional<LinkFaultPlan> fault_plan_;
   util::FlatMap<std::pair<NodeId, NodeId>, LinkFaultState> fault_states_;
   std::uint64_t fault_seed_root_ = 0xfa017ull;
   util::Instant fault_epoch_;
   LinkFaultStats fault_stats_;
+  // Address -> node for find_by_addr (topology builds and tests).
   util::FlatMap<util::Ipv4Addr, NodeId> by_addr_;
   std::uint64_t packets_transmitted_ = 0;
 };

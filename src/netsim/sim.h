@@ -9,13 +9,21 @@
 // majority of events) are small POD records dispatched straight to the
 // registered PacketSink, and the remaining generic callbacks (timeouts,
 // trial quiesce, audit bookkeeping) live in fixed-capacity InplaceFunctions.
-// The binary heap itself orders 24-byte entries that index into slab
-// storage with free lists, so a warm steady state schedules and dispatches
-// events without any heap allocation.
+//
+// Events are queued in one FIFO lane per distinct delay. A simulation uses
+// few delays (link delays of 1 ms and 500 µs, 1 s retransmit timers), and
+// because now() never decreases and the sequence counter only grows, every
+// lane is already in (at, seq) order: scheduling is an append, and the next
+// event is the smallest lane head, picked through a small min-heap over the
+// non-empty lanes (jittered links can keep thousands of lanes live). Lanes
+// are ring buffers of 24-byte entries that index into slab storage with
+// free lists; a drained lane keeps its capacity for its delay's next event
+// or, once recycled, for a new delay, so a warm steady state schedules and
+// dispatches events without any heap allocation.
 #pragma once
 
 #include <cstdint>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "netsim/node.h"
@@ -27,7 +35,7 @@ namespace tspu::netsim {
 
 /// Receiver for scheduled packet deliveries. Network implements this; the
 /// indirection keeps Simulator ignorant of links and flap windows while the
-/// heap stays free of per-packet closures.
+/// queue stays free of per-packet closures.
 class PacketSink {
  public:
   virtual void deliver_scheduled(NodeId from, NodeId to, wire::Packet pkt) = 0;
@@ -66,7 +74,8 @@ class Simulator {
   /// exactly now() + d (even if idle earlier). This is the simulated "sleep".
   void run_for(util::Duration d);
 
-  std::size_t pending() const { return queue_.size(); }
+  /// Number of scheduled events not yet dispatched.
+  std::size_t pending() const;
 
   /// Registers an invariant sweep for debug builds (util::kAuditEnabled);
   /// release builds never call hooks. Network registers one per inline
@@ -81,14 +90,33 @@ class Simulator {
  private:
   enum class EventKind : std::uint8_t { kCallback, kPacket };
 
-  /// What the binary heap actually moves: timestamp, FIFO tiebreak, and a
-  /// slab slot. Payloads (closures, packets) stay put in their slabs.
-  struct HeapEntry {
+  /// What a lane holds: timestamp, FIFO tiebreak, and a slab slot. Payloads
+  /// (closures, packets) stay put in their slabs.
+  struct Entry {
     util::Instant at;
     std::uint64_t seq;
     std::uint32_t slot;
     EventKind kind;
-    bool operator>(const HeapEntry& o) const {
+  };
+
+  /// Ring buffer of the pending events scheduled with one delay, oldest
+  /// first. The capacity is a power of two and is kept when the lane drains.
+  struct Lane {
+    std::vector<Entry> ring;
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+
+    const Entry& front() const { return ring[head]; }
+    void push(const Entry& e);
+    void pop_front();
+  };
+
+  /// Min-heap node for a non-empty lane, keyed by a copy of its head.
+  struct LaneHead {
+    util::Instant at;
+    std::uint64_t seq;
+    std::uint32_t lane;
+    bool operator>(const LaneHead& o) const {
       if (at != o.at) return at > o.at;
       return seq > o.seq;
     }
@@ -100,14 +128,31 @@ class Simulator {
     wire::Packet pkt;
   };
 
+  void enqueue(util::Duration delay, std::uint32_t slot, EventKind kind);
+  /// Unmaps every empty lane and frees it, with its ring capacity, for
+  /// reuse by new delays.
+  void recycle_empty_lanes();
+  /// Removes and returns the earliest pending event (by at, then seq).
+  Entry pop_next();
+  /// Restores the heap after the front head's key grew.
+  void sift_down_top();
   void run_audit_hooks() const;
-  void dispatch(const HeapEntry& entry);
+  void dispatch(const Entry& entry);
 
   util::Instant now_;
   std::uint64_t next_seq_ = 0;
   PacketSink* sink_ = nullptr;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      queue_;
+  /// Mapped lanes beyond which a new delay first recycles the empty ones:
+  /// recurring delays keep their lane, and jittered delays stay bounded by
+  /// twice the number of non-empty lanes.
+  static constexpr std::size_t kMaxMappedLanes = 64;
+
+  std::vector<Lane> lanes_;
+  std::vector<std::uint32_t> free_lanes_;
+  /// Lanes by delay, sorted by delay. A drained lane stays mapped until
+  /// recycle_empty_lanes.
+  std::vector<std::pair<util::Duration, std::uint32_t>> lane_by_delay_;
+  std::vector<LaneHead> heads_;  // min-heap: earliest (at, seq) at front
   // Slab storage + free lists. Slots are recycled before dispatch so a
   // re-entrant schedule (deliver -> receive -> transmit) reuses the slot it
   // was dispatched from; capacity reaches a high-water mark during warm-up

@@ -58,7 +58,7 @@ class BufferPool {
     return ::operator new(n);
   }
 
-  void deallocate(void* p, std::size_t n) {
+  void deallocate(void* p, [[maybe_unused]] std::size_t n) {
 #if !defined(TSPU_BUFFER_POOL_PASSTHROUGH)
     const int b = bucket_of(n);
     if (b >= 0 && count_[b] < kMaxPerBucket) {

@@ -2,12 +2,20 @@
 // transparent middleboxes, and the host mini TCP/UDP stacks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <queue>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "ispdpi/middleboxes.h"
 #include "netsim/host.h"
 #include "netsim/middlebox.h"
 #include "netsim/network.h"
 #include "netsim/router.h"
 #include "tls/clienthello.h"
+#include "util/rng.h"
 #include "wire/icmp.h"
 
 using namespace tspu;
@@ -63,6 +71,162 @@ TEST(Simulator, NestedScheduling) {
   sim.schedule(Duration::millis(1), recurse);
   sim.run_until_idle();
   EXPECT_EQ(depth, 5);
+}
+
+// The simulator queues events in one FIFO lane per delay. The tests below
+// drive it and a plain binary heap over (at, seq) with one seeded stream and
+// require the same dispatch sequence and clock.
+
+struct Spawn {
+  Duration delay;
+  bool packet;
+};
+
+/// Zero, the two link delays, the 1 s retransmit timer, and a few hundred
+/// jittered link delays.
+Duration draw_delay(util::Rng& r) {
+  switch (r.below(5)) {
+    case 0:
+      return Duration::micros(0);
+    case 1:
+      return Duration::micros(500);
+    case 2:
+      return Duration::millis(1);
+    case 3:
+      return Duration::seconds(1);
+    default:
+      return Duration::micros(1000 + static_cast<std::int64_t>(r.below(300)));
+  }
+}
+
+std::vector<Spawn> draw_spawns(util::Rng& r, std::uint64_t max_count) {
+  std::vector<Spawn> out(r.below(max_count + 1));
+  for (Spawn& s : out) s = Spawn{draw_delay(r), r.bernoulli(0.5)};
+  return out;
+}
+
+/// What an event schedules when it runs: a pure function of its id, so both
+/// queues grow the same tree of re-entrant events.
+std::vector<Spawn> children_of(std::uint64_t seed, std::uint32_t id) {
+  util::Rng r(seed * 0x9e3779b97f4a7c15ull + id);
+  return r.bernoulli(0.45) ? draw_spawns(r, 2) : std::vector<Spawn>{};
+}
+
+using DispatchLog = std::vector<std::pair<std::uint32_t, std::int64_t>>;
+
+/// The simulator under test. Packet events carry their id in `from`.
+class LaneQueueRun final : public PacketSink {
+ public:
+  explicit LaneQueueRun(std::uint64_t seed) : seed_(seed) {
+    sim.set_packet_sink(this);
+  }
+
+  void spawn(const std::vector<Spawn>& spawns) {
+    for (const Spawn& s : spawns) {
+      const std::uint32_t id = next_id_++;
+      if (s.packet) {
+        sim.schedule_packet(s.delay, id, 0, wire::Packet{});
+      } else {
+        sim.schedule(s.delay, [this, id] { ran(id); });
+      }
+    }
+  }
+
+  void deliver_scheduled(NodeId from, NodeId, wire::Packet) override {
+    ran(from);
+  }
+
+  Simulator sim;
+  DispatchLog log;
+
+ private:
+  void ran(std::uint32_t id) {
+    log.emplace_back(id, sim.now().as_micros());
+    spawn(children_of(seed_, id));
+  }
+
+  std::uint64_t seed_;
+  std::uint32_t next_id_ = 0;
+};
+
+/// The reference: one binary heap over (at, seq).
+class ReferenceRun {
+ public:
+  explicit ReferenceRun(std::uint64_t seed) : seed_(seed) {}
+
+  void spawn(const std::vector<Spawn>& spawns) {
+    for (const Spawn& s : spawns)
+      queue_.push(Event{now + s.delay.as_micros(), seq_++, next_id_++});
+  }
+
+  /// Dispatches every event due by `deadline`, earliest (at, seq) first.
+  void run_through(std::int64_t deadline) {
+    while (!queue_.empty() && queue_.top().at <= deadline) {
+      const Event e = queue_.top();
+      queue_.pop();
+      now = e.at;
+      log.emplace_back(e.id, now);
+      spawn(children_of(seed_, e.id));
+    }
+  }
+
+  std::size_t pending() const { return queue_.size(); }
+
+  std::int64_t now = 0;
+  DispatchLog log;
+
+ private:
+  struct Event {
+    std::int64_t at;
+    std::uint64_t seq;
+    std::uint32_t id;
+    bool operator>(const Event& o) const {
+      return std::tie(at, seq) > std::tie(o.at, o.seq);
+    }
+  };
+
+  std::uint64_t seed_;
+  std::uint64_t seq_ = 0;
+  std::uint32_t next_id_ = 0;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+};
+
+TEST(Simulator, DispatchOrderMatchesReferenceHeap) {
+  constexpr std::int64_t kForever = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    LaneQueueRun lanes(seed);
+    ReferenceRun ref(seed);
+    util::Rng steps(seed);
+    for (int step = 0; step < 400; ++step) {
+      const std::vector<Spawn> roots = draw_spawns(steps, 6);
+      lanes.spawn(roots);
+      ref.spawn(roots);
+      const std::uint64_t how = steps.below(10);
+      if (how == 0) {
+        lanes.sim.run_until_idle();
+        ref.run_through(kForever);
+      } else {
+        // Mostly sub-2 ms windows, which stop inside the 1 ms and jitter
+        // lanes; sometimes past the 1 s timers.
+        const Duration d = how == 1
+                               ? Duration::seconds(2)
+                               : Duration::micros(static_cast<std::int64_t>(
+                                     steps.below(2000)));
+        lanes.sim.run_for(d);
+        const std::int64_t deadline = ref.now + d.as_micros();
+        ref.run_through(deadline);
+        ref.now = deadline;
+      }
+      ASSERT_EQ(lanes.sim.now().as_micros(), ref.now)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(lanes.sim.pending(), ref.pending())
+          << "seed " << seed << " step " << step;
+    }
+    lanes.sim.run_until_idle();
+    ref.run_through(kForever);
+    EXPECT_GT(ref.log.size(), 1000u);
+    ASSERT_EQ(lanes.log, ref.log) << "seed " << seed;
+  }
 }
 
 TEST(RoutingTable, LongestPrefixWins) {
@@ -170,6 +334,97 @@ TEST(Middlebox, TransparentBoxForwardsWithoutTtlDecrement) {
   ASSERT_FALSE(t.server->captured().empty());
   // Still exactly two router decrements: the box is invisible.
   EXPECT_EQ(t.server->captured().front().pkt.ip.ttl, 62);
+}
+
+/// Records when each packet arrives and from which neighbour.
+class ArrivalLog final : public Node {
+ public:
+  explicit ArrivalLog(std::string name) : Node(std::move(name), Ipv4Addr()) {}
+  void receive(wire::Packet, NodeId from) override {
+    arrivals.emplace_back(net().now().as_micros(), from);
+  }
+  std::vector<std::pair<std::int64_t, NodeId>> arrivals;
+};
+
+/// A transparent box that records when packets cross it.
+class TimedBox final : public Middlebox {
+ public:
+  using Middlebox::Middlebox;
+  void process(wire::Packet pkt, Direction dir) override {
+    crossings.push_back(net().now().as_micros());
+    forward_on(std::move(pkt), dir);
+  }
+  std::vector<std::int64_t> crossings;
+};
+
+using Arrivals = std::vector<std::pair<std::int64_t, NodeId>>;
+
+TEST(NetworkLinks, RelinkingAPairKeepsTheLastDelay) {
+  Network net;
+  auto a_node = std::make_unique<ArrivalLog>("a");
+  auto b_node = std::make_unique<ArrivalLog>("b");
+  ArrivalLog* a = a_node.get();
+  ArrivalLog* b = b_node.get();
+  const NodeId ia = net.add(std::move(a_node));
+  const NodeId ib = net.add(std::move(b_node));
+  net.link(ia, ib, Duration::millis(1));
+  net.link(ia, ib, Duration::millis(7));
+  net.transmit(ia, ib, wire::Packet{});
+  net.transmit(ib, ia, wire::Packet{});
+  net.sim().run_until_idle();
+  EXPECT_EQ(b->arrivals, (Arrivals{{7000, ia}}));
+  EXPECT_EQ(a->arrivals, (Arrivals{{7000, ib}}));
+
+  // Relinking after traffic flowed replaces the indexed delay too.
+  net.link(ib, ia, Duration::millis(2));
+  net.transmit(ia, ib, wire::Packet{});
+  net.sim().run_until_idle();
+  EXPECT_EQ(b->arrivals, (Arrivals{{7000, ia}, {9000, ia}}));
+}
+
+TEST(NetworkLinks, TopologyChangesAfterTrafficReindex) {
+  Network net;
+  auto a_node = std::make_unique<ArrivalLog>("a");
+  auto b_node = std::make_unique<ArrivalLog>("b");
+  auto c_node = std::make_unique<ArrivalLog>("c");
+  ArrivalLog* b = b_node.get();
+  ArrivalLog* c = c_node.get();
+  const NodeId ia = net.add(std::move(a_node));
+  const NodeId ib = net.add(std::move(b_node));
+  net.link(ia, ib, Duration::micros(2001));
+  net.transmit(ia, ib, wire::Packet{});
+  net.sim().run_until_idle();
+  ASSERT_EQ(b->arrivals, (Arrivals{{2001, ia}}));
+
+  // A node added and linked after traffic flowed is reachable.
+  const NodeId ic = net.add(std::move(c_node));
+  net.link(ib, ic, Duration::millis(3));
+  net.transmit(ib, ic, wire::Packet{});
+  net.sim().run_until_idle();
+  EXPECT_EQ(c->arrivals, (Arrivals{{5001, ib}}));
+
+  // A box spliced into a—b after traffic flowed carries later packets with
+  // the link's delay split around it, and a—b itself is gone.
+  auto box_node = std::make_unique<TimedBox>("box");
+  TimedBox* box = box_node.get();
+  const NodeId ibox = net.insert_inline(ia, ib, std::move(box_node));
+  net.transmit(ia, ibox, wire::Packet{});
+  net.sim().run_until_idle();
+  EXPECT_EQ(box->crossings, (std::vector<std::int64_t>{6001}));
+  EXPECT_EQ(b->arrivals, (Arrivals{{2001, ia}, {7002, ibox}}));
+  EXPECT_THROW(net.transmit(ia, ib, wire::Packet{}), std::logic_error);
+}
+
+TEST(NetworkLinks, TransmitOverANonLinkThrows) {
+  LineTopo t;
+  EXPECT_THROW(t.net.transmit(t.r1, t.net.find_by_addr(t.server->addr()),
+                              wire::Packet{}),
+               std::logic_error);
+  // After the first transmit built the index, the answer is the same.
+  t.net.transmit(t.r1, t.r2, wire::Packet{});
+  EXPECT_THROW(t.net.transmit(t.r2, t.net.find_by_addr(t.client->addr()),
+                              wire::Packet{}),
+               std::logic_error);
 }
 
 TEST(Middlebox, InsertRequiresExistingLink) {

@@ -43,7 +43,9 @@ TEST(FlatMap, InsertLookupEraseMatchesStdMap) {
         auto* fe = flat.find(key);
         auto ri = ref.find(key);
         ASSERT_EQ(fe != nullptr, ri != ref.end()) << "key " << key;
-        if (fe != nullptr) ASSERT_EQ(fe->second, ri->second);
+        if (fe != nullptr) {
+          ASSERT_EQ(fe->second, ri->second);
+        }
         break;
       }
       case 2:  // erase
