@@ -4,7 +4,8 @@
 // BENCH_<name>.json report every converted bench emits.
 //
 // Knobs:
-//   TSPU_BENCH_SCALE  scales trial/endpoint counts (default 1.0)
+//   TSPU_BENCH_SCALE  scales trial/endpoint counts (default: the bench's
+//                     own, passed to BenchReport and read back as scale())
 //   TSPU_BENCH_JOBS   worker threads for sharded benches (default: hardware
 //                     concurrency; results are identical for every value)
 //
@@ -95,13 +96,17 @@ inline void note(const std::string& text) {
 
 /// Collects a bench's headline numbers and writes BENCH_<name>.json into the
 /// working directory. The "headline" section holds only deterministic
-/// simulation outputs (safe to diff across job counts); wall time and job
-/// count live in the separate "runtime" section.
+/// simulation outputs (safe to diff across job counts); wall time, job
+/// count and scale live in the separate "runtime" section.
+///
+/// The report is the bench's one read of TSPU_BENCH_SCALE: a bench passes
+/// its default scale and runs at scale(), so the report records the scale
+/// the bench ran at.
 class BenchReport {
  public:
-  explicit BenchReport(std::string name)
+  explicit BenchReport(std::string name, double default_scale = 1.0)
       : name_(std::move(name)), jobs_(env_jobs()),
-        scale_(env_double("TSPU_BENCH_SCALE", 1.0)),
+        scale_(env_double("TSPU_BENCH_SCALE", default_scale)),
         start_(std::chrono::steady_clock::now()) {}
 
   int jobs() const { return jobs_; }

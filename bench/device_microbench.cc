@@ -158,8 +158,7 @@ bool check(bool ok, const char* what) {
 int main() {
   tspu::bench::ScopedRecorder obs_recorder;
   bench::BenchReport report("device_microbench");
-  const long long per_case = static_cast<long long>(
-      100000 * bench::env_double("TSPU_BENCH_SCALE", 1.0));
+  const auto per_case = static_cast<long long>(100000 * report.scale());
   bench::banner("device microbench",
                 "per-packet DPI inspection through one TSPU device, " +
                     std::to_string(per_case) + " packets per case");

@@ -14,13 +14,13 @@ using namespace tspu;
 
 int main() {
   tspu::bench::ScopedRecorder obs_recorder;
-  bench::BenchReport report("fig10_traceroutes");
+  bench::BenchReport report("fig10_traceroutes", 0.004);
   const int sample = bench::env_int("TSPU_BENCH_TRACEROUTES", 400);
   bench::banner("Figure 10", "Traceroutes and TSPU links (sample " +
                                  std::to_string(sample) + ")");
 
   topo::NationalConfig cfg;
-  cfg.endpoint_scale = bench::env_double("TSPU_BENCH_SCALE", 0.004);
+  cfg.endpoint_scale = report.scale();
   cfg.n_ases = bench::env_int("TSPU_BENCH_ASES", 400);
 
   // Spread the sample over the positives so it spans many ASes rather than

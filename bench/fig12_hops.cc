@@ -13,11 +13,11 @@ using namespace tspu;
 
 int main() {
   tspu::bench::ScopedRecorder obs_recorder;
-  bench::BenchReport report("fig12_hops");
+  bench::BenchReport report("fig12_hops", 0.004);
   bench::banner("Figure 12", "Hops between TSPU device and destination IP");
 
   topo::NationalConfig cfg;
-  cfg.endpoint_scale = bench::env_double("TSPU_BENCH_SCALE", 0.004);
+  cfg.endpoint_scale = report.scale();
   cfg.n_ases = bench::env_int("TSPU_BENCH_ASES", 400);
 
   measure::ParallelScanConfig scan_cfg;

@@ -20,8 +20,8 @@ using namespace tspu;
 
 int main() {
   tspu::bench::ScopedRecorder obs_recorder;
-  bench::BenchReport report("fig9_ports");
-  const double scale = bench::env_double("TSPU_BENCH_SCALE", 0.004);
+  bench::BenchReport report("fig9_ports", 0.004);
+  const double scale = report.scale();
   bench::banner("Figure 9", "Endpoints with TSPU installations by port "
                             "(endpoint scale " + std::to_string(scale) +
                             " of the paper's 4,005,138)");

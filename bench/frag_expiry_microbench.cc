@@ -95,8 +95,7 @@ RunResult run(const std::vector<std::pair<wire::Packet, Instant>>& events,
 int main() {
   tspu::bench::ScopedRecorder obs_recorder;
   bench::BenchReport report("frag_expiry_microbench");
-  const int queues =
-      static_cast<int>(20000 * bench::env_double("TSPU_BENCH_SCALE", 1.0));
+  const int queues = static_cast<int>(20000 * report.scale());
   bench::banner("frag expiry microbench",
                 "lazy vs eager queue-timeout sweeps, " +
                     std::to_string(queues) + " interleaved queues");

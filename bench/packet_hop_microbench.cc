@@ -62,8 +62,7 @@ int main() {
   tspu::bench::ScopedRecorder obs_recorder;
   bench::BenchReport report("packet_hop_microbench");
   const int routers = 8;
-  const long long packets = static_cast<long long>(
-      200000 * bench::env_double("TSPU_BENCH_SCALE", 1.0));
+  const auto packets = static_cast<long long>(200000 * report.scale());
   bench::banner("packet hop microbench",
                 "clean-path UDP forwarding over " + std::to_string(routers) +
                     " routers, " + std::to_string(packets) + " packets");

@@ -16,11 +16,11 @@ using namespace tspu;
 
 int main() {
   tspu::bench::ScopedRecorder obs_recorder;
-  bench::BenchReport report("table4_echo");
+  bench::BenchReport report("table4_echo", 0.003);
   bench::banner("Table 4", "Echo-server (Quack) measurement results");
 
   topo::NationalConfig cfg;
-  cfg.endpoint_scale = bench::env_double("TSPU_BENCH_SCALE", 0.003);
+  cfg.endpoint_scale = report.scale();
   cfg.n_ases = bench::env_int("TSPU_BENCH_ASES", 400);
   cfg.echo_servers = 1404;  // the paper's absolute echo population
   constexpr std::uint64_t kSeed = 0x7ab1e4;

@@ -34,11 +34,11 @@ void print_contingency(const char* title, int nn, int nb, int bn, int bb,
 
 int main() {
   tspu::bench::ScopedRecorder obs_recorder;
-  bench::BenchReport report("table5_correlation");
+  bench::BenchReport report("table5_correlation", 0.003);
   bench::banner("Table 5", "IP-blocking vs echo / fragmentation correlation");
 
   topo::NationalConfig cfg;
-  cfg.endpoint_scale = bench::env_double("TSPU_BENCH_SCALE", 0.003);
+  cfg.endpoint_scale = report.scale();
   cfg.n_ases = bench::env_int("TSPU_BENCH_ASES", 400);
   cfg.echo_servers = 1100;
   constexpr std::uint64_t kSeed = 0x7ab1e5;

@@ -46,11 +46,8 @@ JsonWriter& JsonWriter::end_object() {
 }
 
 JsonWriter& JsonWriter::begin_array(const std::string& k) {
-  if (!k.empty()) {
-    key(k);
-  } else {
-    separator();
-  }
+  if (!k.empty()) key(k);
+  separator();
   out_ += '[';
   needs_comma_.push_back(false);
   return *this;

@@ -46,7 +46,7 @@ class JsonWriter {
 
 std::string escape_json(const std::string& s);
 
-/// Serializes a ScanCampaign summary (Figure 9/10/12 data).
+/// Serializes a national scan summary (Figure 9/10/12 data).
 std::string scan_summary_json(const ScanSummary& summary);
 
 /// Serializes domain-sweep verdicts (Figure 6/7, Table 3 data).

@@ -18,44 +18,6 @@ double ScanSummary::within_hops_share(int n) const {
   return total == 0 ? 0.0 : static_cast<double>(within) / total;
 }
 
-EndpointScanResult ScanCampaign::probe(const topo::Endpoint& ep,
-                                       bool localize,
-                                       const RetryPolicy* retry) {
-  EndpointScanResult r;
-  r.endpoint = &ep;
-  bool positive;
-  if (retry != nullptr) {
-    FragFingerprintVerdict fv =
-        probe_fragment_limit_retry(net_, prober_, ep.addr, ep.port, *retry);
-    r.fingerprint = fv.as_result();
-    positive = fv.verdict == Verdict::kConfirmed && fv.tspu_like;
-    r.confidence = std::move(fv);
-  } else {
-    r.fingerprint = probe_fragment_limit(net_, prober_, ep.addr, ep.port);
-    positive = r.fingerprint.tspu_like();
-  }
-  if (!positive || !localize) return r;
-
-  r.location = locate_by_fragments(net_, prober_, ep.addr, ep.port,
-                                   /*max_ttl=*/24, retry);
-  if (!r.location->min_working_ttl ||
-      !r.location->device_hops_from_destination) {
-    return r;
-  }
-  // Identify the router pair around the device from a traceroute.
-  const auto route = tcp_traceroute(net_, prober_, ep.addr, ep.port,
-                                    /*max_ttl=*/24, retry);
-  const int before_idx = *r.location->min_working_ttl - 2;  // 0-based hops
-  const int after_idx = before_idx + 1;
-  auto hop_at = [&](int idx) {
-    return idx >= 0 && idx < static_cast<int>(route.hops.size())
-               ? route.hops[idx]
-               : util::Ipv4Addr();
-  };
-  r.tspu_link = {hop_at(before_idx), hop_at(after_idx)};
-  return r;
-}
-
 namespace {
 
 /// The router pair straddling the located device, read off a traceroute
@@ -153,8 +115,7 @@ ScanRecord probe_one(topo::NationalTopology& topo, std::size_t endpoint_index,
   return rec;
 }
 
-/// Folds per-endpoint records into the campaign summary (shared by the
-/// plain and checkpointed scans so both aggregate identically).
+/// Folds per-endpoint records into the campaign summary.
 ParallelScanOutcome aggregate_records(std::vector<ScanRecord> records) {
   ParallelScanOutcome out;
   for (const ScanRecord& rec : records) {
@@ -188,31 +149,7 @@ ParallelScanOutcome aggregate_records(std::vector<ScanRecord> records) {
 
 ParallelScanOutcome parallel_scan(const topo::NationalConfig& topo_config,
                                   const ParallelScanConfig& config, int jobs) {
-  // One replica is needed up front to enumerate endpoints; shard 0 adopts it
-  // instead of rebuilding. Construction is muted like the runner's own
-  // make_ctx calls: how many replicas get built depends on the job count.
-  std::unique_ptr<topo::NationalTopology> scout;
-  {
-    obs::MuteGuard mute;
-    scout = std::make_unique<topo::NationalTopology>(topo_config);
-  }
-  const std::vector<std::size_t> selected =
-      select_endpoints(scout->endpoints(), config);
-
-  std::vector<ScanRecord> records = runner::shard_map(
-      selected.size(), jobs,
-      [&scout, &topo_config](int shard) {
-        return shard == 0 && scout
-                   ? std::move(scout)
-                   : std::make_unique<topo::NationalTopology>(topo_config);
-      },
-      [&selected, &config](std::unique_ptr<topo::NationalTopology>& topo,
-                           std::size_t i) {
-        return probe_one(*topo, selected[i],
-                         runner::item_seed(config.seed, i), config);
-      });
-
-  return aggregate_records(std::move(records));
+  return parallel_scan_checkpointed(topo_config, config, {}, jobs);
 }
 
 void encode_scan_record(const ScanRecord& rec, util::StateWriter& w) {
@@ -339,6 +276,9 @@ std::uint64_t parallel_scan_identity(const topo::NationalConfig& topo_config,
 ParallelScanOutcome parallel_scan_checkpointed(
     const topo::NationalConfig& topo_config, const ParallelScanConfig& config,
     const runner::CheckpointOptions& ckpt, int jobs) {
+  // One replica is needed up front to enumerate endpoints; shard 0 adopts it
+  // instead of rebuilding. Construction is muted like the runner's own
+  // make_ctx calls: how many replicas get built depends on the job count.
   std::unique_ptr<topo::NationalTopology> scout;
   {
     obs::MuteGuard mute;
@@ -373,52 +313,6 @@ ParallelScanOutcome parallel_scan_checkpointed(
       ScanCodec{parallel_scan_identity(topo_config, config)}, ckpt);
 
   return aggregate_records(std::move(records));
-}
-
-ScanSummary ScanCampaign::run(const std::vector<topo::Endpoint>& endpoints,
-                              const ScanConfig& config) {
-  results_.clear();
-  ScanSummary summary;
-  const std::size_t stride = std::max<std::size_t>(1, config.stride);
-  for (std::size_t i = 0; i < endpoints.size(); i += stride) {
-    if (config.max_endpoints != 0 &&
-        summary.endpoints_probed >= config.max_endpoints) {
-      break;
-    }
-    const topo::Endpoint& ep = endpoints[i];
-    EndpointScanResult r = probe(ep, config.localize,
-                                 config.retry ? &config.retry_policy : nullptr);
-
-    ++summary.endpoints_probed;
-    summary.ases_probed.insert(ep.as_index);
-    auto& [probed, positive] = summary.by_port[ep.port];
-    ++probed;
-    if (r.confidence) {
-      switch (r.confidence->verdict) {
-        case Verdict::kConfirmed: ++summary.confirmed; break;
-        case Verdict::kInconclusive: ++summary.inconclusive; break;
-        case Verdict::kUnreachable: ++summary.unreachable; break;
-      }
-    }
-    const bool counted_positive =
-        r.confidence ? r.confidence->verdict == Verdict::kConfirmed &&
-                           r.confidence->tspu_like
-                     : r.fingerprint.tspu_like();
-    if (counted_positive) {
-      ++summary.tspu_positive;
-      ++positive;
-      summary.ases_positive.insert(ep.as_index);
-      if (r.location && r.location->device_hops_from_destination) {
-        ++summary.hops_histogram[*r.location->device_hops_from_destination];
-      }
-      if (r.tspu_link) {
-        summary.tspu_links.insert(
-            {r.tspu_link->first.value(), r.tspu_link->second.value()});
-      }
-    }
-    results_.push_back(std::move(r));
-  }
-  return summary;
 }
 
 }  // namespace tspu::measure

@@ -1,13 +1,13 @@
-// ScanCampaign: the full §7.2/§7.3 remote-measurement pipeline as one
-// reusable orchestration — fingerprint sweep, per-positive localization,
-// traceroute-based TSPU-link clustering, and per-port aggregation. This is
-// what the fig9/fig10/fig12 benches and the national_scan example drive.
+// The §7.2/§7.3 remote-measurement campaign: fingerprint sweep,
+// per-positive localization, traceroute-based TSPU-link clustering, and
+// per-port aggregation. This is what the fig9/fig10/fig12 benches, the
+// national_scan example, and `tspucli scan` drive.
 //
-// parallel_scan() is the sharded version: every endpoint probe is an
-// independent simulation, so the runner gives each worker thread its own
-// NationalTopology replica (same config, same seed => identical world) and
-// isolates consecutive probes with begin_trial(). Results are merged in
-// endpoint order, making the outcome bit-identical for any job count.
+// Every endpoint probe is an independent simulation, so the runner gives
+// each worker thread its own NationalTopology replica (same config, same
+// seed => identical world) and isolates consecutive probes with
+// begin_trial(). Results are merged in endpoint order, making the outcome
+// bit-identical for any job count.
 #pragma once
 
 #include <functional>
@@ -23,19 +23,6 @@
 #include "topo/national.h"
 
 namespace tspu::measure {
-
-struct EndpointScanResult {
-  const topo::Endpoint* endpoint = nullptr;
-  FragLimitResult fingerprint;
-  /// Vote tallies behind `fingerprint`; filled only when the probe ran with
-  /// a RetryPolicy.
-  std::optional<FragFingerprintVerdict> confidence;
-  /// Filled only for fingerprint-positive endpoints when localization ran.
-  std::optional<FragLocalizeResult> location;
-  /// Router pair straddling the device ("TSPU link"), zero-valued when a
-  /// side is the destination leaf itself.
-  std::optional<std::pair<util::Ipv4Addr, util::Ipv4Addr>> tspu_link;
-};
 
 struct ScanSummary {
   std::size_t endpoints_probed = 0;
@@ -62,47 +49,6 @@ struct ScanSummary {
   /// Share of localized devices within `n` hops of the destination.
   double within_hops_share(int n) const;
 };
-
-struct ScanConfig {
-  /// Localize (TTL-limited fragments + traceroute) each positive endpoint.
-  bool localize = true;
-  /// Cap on endpoints probed (0 = all).
-  std::size_t max_endpoints = 0;
-  /// Probe only every k-th endpoint (spreads samples across ASes).
-  std::size_t stride = 1;
-  /// Retry + majority-vote every probe primitive (fingerprint, frag-TTL
-  /// localization, traceroute) under retry_policy; fills the confidence /
-  /// verdict fields and makes `tspu_positive` count kConfirmed only.
-  bool retry = false;
-  RetryPolicy retry_policy;
-};
-
-class ScanCampaign {
- public:
-  ScanCampaign(netsim::Network& net, netsim::Host& prober)
-      : net_(net), prober_(prober) {}
-
-  /// Probes one endpoint (fingerprint + optional localization). With `retry`
-  /// set, every primitive takes the vote and the result carries confidence.
-  EndpointScanResult probe(const topo::Endpoint& ep, bool localize = true,
-                           const RetryPolicy* retry = nullptr);
-
-  /// Sweeps the given endpoints and aggregates.
-  ScanSummary run(const std::vector<topo::Endpoint>& endpoints,
-                  const ScanConfig& config = {});
-
-  /// The per-endpoint records of the last run().
-  const std::vector<EndpointScanResult>& results() const { return results_; }
-
- private:
-  netsim::Network& net_;
-  netsim::Host& prober_;
-  std::vector<EndpointScanResult> results_;
-};
-
-// ---------------------------------------------------------------------------
-// Sharded national scan
-// ---------------------------------------------------------------------------
 
 /// One endpoint's probe outcome with the endpoint's identity and ground
 /// truth copied out of the replica (the replicas are destroyed when
@@ -144,8 +90,7 @@ struct ParallelScanConfig {
   bool fingerprint = true;
   /// Run frag-TTL localization.
   bool localize = false;
-  /// With fingerprinting on, localize only fingerprint-positive endpoints
-  /// (the serial ScanCampaign behavior).
+  /// With fingerprinting on, localize only fingerprint-positive endpoints.
   bool localize_only_positive = true;
   /// Also traceroute localized endpoints to name the TSPU link pair.
   bool trace_links = false;
@@ -178,7 +123,9 @@ struct ParallelScanOutcome {
 /// Builds one NationalTopology replica per worker thread from `topo_config`
 /// and probes the selected endpoints, round-robin across shards, with
 /// begin_trial() isolation between probes. jobs <= 0 selects hardware
-/// concurrency. The outcome is bit-identical for every jobs value.
+/// concurrency. The outcome is bit-identical for every jobs value. Same as
+/// parallel_scan_checkpointed with a default CheckpointOptions (no snapshot
+/// I/O).
 ParallelScanOutcome parallel_scan(const topo::NationalConfig& topo_config,
                                   const ParallelScanConfig& config = {},
                                   int jobs = 0);

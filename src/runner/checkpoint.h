@@ -1,8 +1,8 @@
 // Deterministic checkpoint/resume for sharded campaigns.
 //
-// A campaign built on ShardRunner::map can run for hours (a 1:1-scale
-// national scan probes millions of endpoints); preemption or a SIGTERM used
-// to throw all of it away. checkpointed_map() is map() with a durability
+// A campaign built on shard_map can run for hours (a 1:1-scale national
+// scan probes millions of endpoints); preemption or a SIGTERM used to throw
+// all of it away. checkpointed_map() is shard_map() with a durability
 // contract: the completed results and the flight recorder are serialized
 // into a versioned, length-prefixed snapshot, written atomically every N
 // items and on SIGTERM. Resuming from the snapshot continues the campaign
@@ -47,8 +47,9 @@
 namespace tspu::runner {
 
 struct CheckpointOptions {
-  /// Snapshot file. Empty disables checkpointing entirely (checkpointed_map
-  /// then degenerates to a single wave with no snapshot I/O).
+  /// Snapshot file. Empty disables checkpointing entirely: checkpointed_map
+  /// then runs shard_map's single wave with no snapshot I/O, and ignores
+  /// the SIGTERM latch and abort_after_items.
   std::string path;
   /// Snapshot cadence in items; rounded up to a multiple of the job count
   /// so snapshots land on wave barriers. 0 behaves as 1 wave = jobs items.
@@ -124,20 +125,7 @@ bool write_snapshot(const std::string& path, const Snapshot& snapshot);
 /// never UB, whatever the bytes are.
 std::optional<Snapshot> read_snapshot(const std::string& path);
 
-namespace detail {
-
-/// Emplace adapter: lets std::optional<Ctx>::emplace build a non-movable
-/// context in place via guaranteed copy elision of make(shard)'s return.
-template <typename Make, typename Ctx>
-struct CtxEmplacer {
-  Make& make;
-  int shard;
-  operator Ctx() && { return make(shard); }  // NOLINT: implicit by design
-};
-
-}  // namespace detail
-
-/// ShardRunner::map with checkpoint/resume. `codec` supplies the
+/// shard_map with checkpoint/resume. `codec` supplies the
 /// campaign-specific encoding:
 ///
 ///   std::uint64_t identity() const;                  // config hash
@@ -155,21 +143,15 @@ template <typename MakeCtx, typename Fn, typename Codec>
 auto checkpointed_map(std::size_t n_items, int jobs_requested,
                       MakeCtx&& make_ctx, Fn&& fn, Codec&& codec,
                       const CheckpointOptions& opts) {
-  using Ctx = std::invoke_result_t<MakeCtx&, int>;
-  using Result = std::invoke_result_t<Fn&, Ctx&, std::size_t>;
+  detail::ShardLoop<MakeCtx, Fn> loop(n_items, jobs_requested, make_ctx, fn);
+  using Result = typename detail::ShardLoop<MakeCtx, Fn>::Result;
   static_assert(std::is_default_constructible_v<Result>,
                 "checkpointed_map results must be default-constructible "
                 "(snapshot decode target)");
+  if (n_items == 0) return loop.finish();
+  const std::size_t uj = static_cast<std::size_t>(loop.jobs);
+  const bool durable = !opts.path.empty();
 
-  if (n_items == 0) return std::vector<Result>{};
-  const int jobs = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(effective_jobs(jobs_requested)), n_items));
-  const std::size_t uj = static_cast<std::size_t>(jobs);
-
-  std::vector<std::optional<Result>> slots(n_items);
-  obs::Recorder* parent = obs::recorder();
-  std::vector<std::unique_ptr<obs::Recorder>> children(uj);
-  std::vector<std::optional<Ctx>> contexts(uj);
   /// Recorder blobs inherited from interrupted generations; merged into the
   /// parent at completion and carried forward into every snapshot so a
   /// resume-of-a-resume still reproduces the full history.
@@ -197,7 +179,7 @@ auto checkpointed_map(std::size_t n_items, int jobs_requested,
       if (!codec.decode(res, r) || !r.done()) {
         throw std::runtime_error("checkpoint: result blob rejected");
       }
-      slots[index].emplace(std::move(res));
+      loop.slots[index].emplace(std::move(res));
     }
     base_recorders = std::move(snap->recorder_blobs);
     start = static_cast<std::size_t>(snap->next_index);
@@ -206,7 +188,7 @@ auto checkpointed_map(std::size_t n_items, int jobs_requested,
   // Wave size: the checkpoint cadence rounded up to a shard multiple so a
   // snapshot always happens at a barrier, with every shard quiescent.
   std::size_t chunk = n_items;
-  if (!opts.path.empty()) {
+  if (durable) {
     chunk = ((std::max<std::size_t>(opts.every_n_items, 1) + uj - 1) / uj) * uj;
   }
 
@@ -215,15 +197,15 @@ auto checkpointed_map(std::size_t n_items, int jobs_requested,
     snap.identity = codec.identity();
     snap.n_items = n_items;
     snap.next_index = completed;
-    snap.shard_count = static_cast<std::uint32_t>(jobs);
+    snap.shard_count = static_cast<std::uint32_t>(loop.jobs);
     snap.results.reserve(completed);
     for (std::size_t i = 0; i < completed; ++i) {
       util::StateWriter w;
-      codec.encode(*slots[i], w);
+      codec.encode(*loop.slots[i], w);
       snap.results.emplace_back(i, w.take());
     }
     snap.recorder_blobs = base_recorders;
-    for (const std::unique_ptr<obs::Recorder>& child : children) {
+    for (const std::unique_ptr<obs::Recorder>& child : loop.children) {
       if (!child) continue;
       util::StateWriter w;
       child->save_state(w);
@@ -237,59 +219,31 @@ auto checkpointed_map(std::size_t n_items, int jobs_requested,
 
   for (std::size_t wave_begin = start; wave_begin < n_items;) {
     const std::size_t wave_end = std::min(n_items, wave_begin + chunk);
-    runner::detail::run_shards(jobs, [&](int shard) {
-      const auto us = static_cast<std::size_t>(shard);
-      std::optional<obs::RecorderScope> scope;
-      if (parent != nullptr) {
-        if (!children[us]) {
-          children[us] = std::make_unique<obs::Recorder>(parent->config());
-        }
-        scope.emplace(*children[us]);
-      }
-      if (!contexts[us]) {
-        obs::MuteGuard mute;
-        contexts[us].emplace(
-            detail::CtxEmplacer<MakeCtx, Ctx>{make_ctx, shard});
-      }
-      // Item i belongs to shard i % jobs, exactly as in ShardRunner::map;
-      // the first owned index at or after wave_begin:
-      std::size_t i = wave_begin + ((us + uj - wave_begin % uj) % uj);
-      for (; i < wave_end; i += uj) {
-        obs::begin_item(i);
-        slots[i].emplace(fn(*contexts[us], i));
-      }
-    });
+    loop.run_wave(wave_begin, wave_end);
     wave_begin = wave_end;
+    if (!durable) continue;
 
     const bool finished = wave_end == n_items;
     const bool interrupted =
         sigterm_requested() ||
         (opts.abort_after_items != 0 && wave_end >= opts.abort_after_items &&
          !finished);
-    if (!opts.path.empty() && (!finished || interrupted)) {
-      take_checkpoint(wave_end);
-    }
+    if (!finished || interrupted) take_checkpoint(wave_end);
     if (interrupted) throw CampaignInterrupted(opts.path, wave_end);
   }
 
-  if (parent != nullptr) {
+  // Inherited generations merge first, then this run's shards (finish()).
+  if (loop.parent != nullptr) {
     for (const std::string& blob : base_recorders) {
-      obs::Recorder base(parent->config());
+      obs::Recorder base(loop.parent->config());
       util::StateReader r(blob);
       if (!base.load_state(r) || !r.done()) {
         throw std::runtime_error("checkpoint: recorder blob rejected");
       }
-      parent->merge_from(std::move(base));
-    }
-    for (std::unique_ptr<obs::Recorder>& child : children) {
-      if (child) parent->merge_from(std::move(*child));
+      loop.parent->merge_from(std::move(base));
     }
   }
-
-  std::vector<Result> out;
-  out.reserve(n_items);
-  for (std::optional<Result>& slot : slots) out.push_back(std::move(*slot));
-  return out;
+  return loop.finish();
 }
 
 }  // namespace tspu::runner

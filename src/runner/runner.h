@@ -54,86 +54,116 @@ namespace detail {
 /// the join, so error reporting is deterministic too.
 void run_shards(int jobs, const std::function<void(int shard)>& body);
 
-}  // namespace detail
+/// Emplace adapter: lets std::optional<Ctx>::emplace build a non-movable
+/// context in place via guaranteed copy elision of make(shard)'s return.
+template <typename Make, typename Ctx>
+struct CtxEmplacer {
+  Make& make;
+  int shard;
+  operator Ctx() && { return make(shard); }  // NOLINT: implicit by design
+};
 
-/// Splits [0, n_items) across worker threads, each with its own context.
-class ShardRunner {
- public:
-  /// jobs <= 0 selects hardware concurrency.
-  explicit ShardRunner(int jobs = 0) : jobs_(effective_jobs(jobs)) {}
+/// The shard loop behind shard_map and checkpointed_map: per-shard
+/// replicas, per-shard child recorders, the result slots, and the
+/// shard-order merge. Callers fill every slot by running consecutive waves
+/// up to n_items (checkpointed_map may first reload a completed prefix
+/// from a snapshot), then call finish().
+///
+/// Item i always runs on shard i % jobs, and each shard runs its items in
+/// increasing index order against the context make_ctx(shard), built on
+/// that shard's own thread in the first wave. The wave that ends at
+/// n_items is the last: each shard then destroys its replica on its own
+/// thread, so K world teardowns overlap instead of running one after the
+/// other on the caller.
+///
+/// make_ctx must build the context in its return statement (guaranteed
+/// copy elision covers non-movable worlds like topo::NationalTopology);
+/// wrap multi-step setup in a struct of unique_ptrs if needed.
+template <typename MakeCtx, typename Fn>
+struct ShardLoop {
+  using Ctx = std::invoke_result_t<MakeCtx&, int>;
+  using Result = std::invoke_result_t<Fn&, Ctx&, std::size_t>;
+  static_assert(!std::is_void_v<Result>,
+                "shard_map items must return a value to merge");
 
-  int jobs() const { return jobs_; }
+  // Never more shards than items: each shard builds a full world replica,
+  // which is the expensive part.
+  ShardLoop(std::size_t n, int jobs_requested, MakeCtx& make, Fn& item_fn)
+      : n_items(n),
+        jobs(static_cast<int>(std::min<std::size_t>(
+            static_cast<std::size_t>(effective_jobs(jobs_requested)), n))),
+        make_ctx(make),
+        fn(item_fn),
+        slots(n),
+        children(static_cast<std::size_t>(jobs)),
+        contexts(static_cast<std::size_t>(jobs)) {}
 
-  /// Runs fn(ctx, i) for every i in [0, n_items), where each shard processes
-  /// its items in increasing index order against the context make_ctx(shard)
-  /// built on that shard's own thread. Returns results in item-index order.
-  ///
-  /// make_ctx must build the context in its return statement (guaranteed
-  /// copy elision covers non-movable worlds like topo::NationalTopology);
-  /// wrap multi-step setup in a struct of unique_ptrs if needed.
-  template <typename MakeCtx, typename Fn>
-  auto map(std::size_t n_items, MakeCtx&& make_ctx, Fn&& fn) const {
-    using Ctx = std::invoke_result_t<MakeCtx&, int>;
-    using Result = std::invoke_result_t<Fn&, Ctx&, std::size_t>;
-    static_assert(!std::is_void_v<Result>,
-                  "shard_map items must return a value to merge");
-
-    if (n_items == 0) return std::vector<Result>{};
-    std::vector<std::optional<Result>> slots(n_items);
-    // Never spawn more shards than items: each shard builds a full world
-    // replica, which is the expensive part.
-    const int jobs = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(jobs_), n_items));
-
-    // Flight recorder: each shard records into a private child recorder,
-    // merged into the caller's recorder in shard order after the join.
-    // Counters merge by commutative sums and trace items are disjoint
-    // (item i only ever runs on shard i % jobs), so the merged snapshot is
-    // identical for every job count. Replica construction is muted: jobs=K
-    // builds K replicas, so its events are inherently K-dependent.
-    obs::Recorder* parent = obs::recorder();
-    std::vector<std::unique_ptr<obs::Recorder>> children(
-        static_cast<std::size_t>(jobs));
-
-    detail::run_shards(jobs, [&](int shard) {
+  /// Runs items [begin, end) on every shard and joins.
+  void run_wave(std::size_t begin, std::size_t end) {
+    const std::size_t uj = static_cast<std::size_t>(jobs);
+    run_shards(jobs, [&](int shard) {
+      const auto us = static_cast<std::size_t>(shard);
+      // Flight recorder: each shard records into a private child recorder.
+      // Replica construction is muted: jobs=K builds K replicas, so its
+      // events are inherently K-dependent.
       std::optional<obs::RecorderScope> scope;
       if (parent != nullptr) {
-        children[static_cast<std::size_t>(shard)] =
-            std::make_unique<obs::Recorder>(parent->config());
-        scope.emplace(*children[static_cast<std::size_t>(shard)]);
+        if (!children[us]) {
+          children[us] = std::make_unique<obs::Recorder>(parent->config());
+        }
+        scope.emplace(*children[us]);
       }
-      Ctx ctx = [&] {
+      if (!contexts[us]) {
         obs::MuteGuard mute;
-        return make_ctx(shard);
-      }();
-      for (std::size_t i = static_cast<std::size_t>(shard); i < n_items;
-           i += static_cast<std::size_t>(jobs)) {
-        obs::begin_item(i);
-        slots[i].emplace(fn(ctx, i));
+        contexts[us].emplace(CtxEmplacer<MakeCtx, Ctx>{make_ctx, shard});
       }
+      // The first index at or after `begin` that this shard owns.
+      for (std::size_t i = begin + (us + uj - begin % uj) % uj; i < end;
+           i += uj) {
+        obs::begin_item(i);
+        slots[i].emplace(fn(*contexts[us], i));
+      }
+      if (end == n_items) contexts[us].reset();
     });
+  }
 
+  /// Merges the child recorders into the caller's in shard order and
+  /// returns the results in item order. Counters merge by commutative sums
+  /// and trace items are disjoint, so the merged snapshot is identical for
+  /// every job count.
+  std::vector<Result> finish() {
     if (parent != nullptr) {
       for (std::unique_ptr<obs::Recorder>& child : children) {
         if (child) parent->merge_from(std::move(*child));
       }
     }
-
     std::vector<Result> out;
     out.reserve(n_items);
     for (std::optional<Result>& slot : slots) out.push_back(std::move(*slot));
     return out;
   }
 
- private:
-  int jobs_;
+  const std::size_t n_items;
+  const int jobs;
+  MakeCtx& make_ctx;
+  Fn& fn;
+  obs::Recorder* const parent = obs::recorder();
+  std::vector<std::optional<Result>> slots;
+  std::vector<std::unique_ptr<obs::Recorder>> children;
+  std::vector<std::optional<Ctx>> contexts;
 };
 
-/// One-shot convenience over ShardRunner::map.
+}  // namespace detail
+
+/// Runs fn(ctx, i) for every i in [0, n_items) on `jobs` shards (jobs <= 0
+/// selects hardware concurrency), each shard against its own context
+/// make_ctx(shard) (see detail::ShardLoop). Returns results in item-index
+/// order.
 template <typename MakeCtx, typename Fn>
 auto shard_map(std::size_t n_items, int jobs, MakeCtx&& make_ctx, Fn&& fn) {
-  return ShardRunner(jobs).map(n_items, std::forward<MakeCtx>(make_ctx),
-                               std::forward<Fn>(fn));
+  detail::ShardLoop<MakeCtx, Fn> loop(n_items, jobs, make_ctx, fn);
+  if (n_items != 0) loop.run_wave(0, n_items);
+  return loop.finish();
 }
 
 /// Context-free variant for items that carry all their state: fn(i).

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 
 // Pooling would mask use-after-free (a stale pointer reads the NEXT trial's
 // payload instead of faulting), so sanitizer builds bypass the free lists

@@ -419,6 +419,11 @@ TEST(CheckpointedMap, SigtermLatchInterruptsAtWaveBarrier) {
     // The latch is polled at the first barrier: exactly one wave ran.
     EXPECT_EQ(e.items_completed(), 4u);
   }
+  // Without a snapshot path there is nothing to resume from: the latch and
+  // the abort hook are ignored and the campaign runs to the end.
+  runner::CheckpointOptions plain;
+  plain.abort_after_items = 4;
+  EXPECT_EQ(run_int_campaign(20, 2, plain).size(), 20u);
   runner::reset_sigterm_for_testing();
   EXPECT_FALSE(runner::sigterm_requested());
 

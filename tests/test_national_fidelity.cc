@@ -20,14 +20,15 @@ namespace {
 
 class NationalFidelity : public ::testing::Test {
  protected:
+  static topo::NationalConfig config() {
+    topo::NationalConfig cfg;
+    cfg.endpoint_scale = 0.002;  // ~8k endpoints
+    cfg.n_ases = 200;
+    cfg.seed = 650;
+    return cfg;
+  }
   static topo::NationalTopology& topo() {
-    static topo::NationalTopology t([] {
-      topo::NationalConfig cfg;
-      cfg.endpoint_scale = 0.002;  // ~8k endpoints
-      cfg.n_ases = 200;
-      cfg.seed = 650;
-      return cfg;
-    }());
+    static topo::NationalTopology t(config());
     return t;
   }
 };
@@ -94,21 +95,20 @@ TEST_F(NationalFidelity, HopsHistogramHasLeafBiasAndTail) {
 }
 
 TEST_F(NationalFidelity, ScanRecoversGroundTruthShares) {
-  measure::ScanCampaign campaign(topo().net(), topo().prober());
-  measure::ScanConfig cfg;
-  cfg.localize = false;
+  measure::ParallelScanConfig cfg;
   cfg.stride = 7;  // sample
-  auto summary = campaign.run(topo().endpoints(), cfg);
+  const measure::ScanSummary summary =
+      measure::parallel_scan(config(), cfg, /*jobs=*/2).summary;
 
   // Compare the scan's positive share against downstream-visible ground
   // truth over the same sample.
-  int truth = 0, sampled = 0;
+  std::size_t truth = 0, sampled = 0;
   for (std::size_t i = 0; i < topo().endpoints().size(); i += 7) {
-    if (cfg.max_endpoints && sampled >= int(cfg.max_endpoints)) break;
     ++sampled;
     truth += topo().endpoints()[i].tspu_downstream_visible;
   }
-  EXPECT_EQ(summary.tspu_positive, static_cast<std::size_t>(truth));
+  EXPECT_EQ(summary.endpoints_probed, sampled);
+  EXPECT_EQ(summary.tspu_positive, truth);
 }
 
 // ---- the §7.3 confound: "other DPIs or firewalls on the path may buffer

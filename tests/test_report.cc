@@ -43,16 +43,30 @@ TEST(JsonWriter, Escaping) {
   EXPECT_EQ(w.str(), "{\"k\\\"ey\":\"v\\nal\"}");
 }
 
+TEST(JsonWriter, CommaAfterKeyedArrays) {
+  measure::JsonWriter w;
+  w.begin_object();
+  w.begin_array("a");
+  w.value(1);
+  w.end_array();
+  w.begin_array("b");
+  w.end_array();
+  w.field("n", 2);
+  w.end_object();
+  EXPECT_EQ(w.str(), "{\"a\":[1],\"b\":[],\"n\":2}");
+}
+
 TEST(Report, ScanSummaryExports) {
   topo::NationalConfig cfg;
   cfg.endpoint_scale = 0.0004;
   cfg.n_ases = 40;
   cfg.echo_servers = 30;
-  topo::NationalTopology topo(cfg);
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig sc;
+  measure::ParallelScanConfig sc;
+  sc.localize = true;
+  sc.trace_links = true;
   sc.max_endpoints = 120;
-  auto summary = campaign.run(topo.endpoints(), sc);
+  const measure::ScanSummary summary =
+      measure::parallel_scan(cfg, sc, /*jobs=*/2).summary;
 
   const std::string json = measure::scan_summary_json(summary);
   EXPECT_NE(json.find("\"endpoints_probed\":120"), std::string::npos) << json;

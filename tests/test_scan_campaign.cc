@@ -1,4 +1,5 @@
-// Tests for the ScanCampaign orchestration and link-loss robustness.
+// Tests for the national scan campaign (measure::parallel_scan) and
+// link-loss robustness.
 #include <gtest/gtest.h>
 
 #include "measure/scan.h"
@@ -19,6 +20,10 @@ topo::NationalConfig small_config() {
   return cfg;
 }
 
+constexpr int kJobs = 2;
+
+/// The scan builds its own replicas from small_config(); `topo` is one more
+/// copy of the same world, read for ground truth.
 class ScanCampaignTest : public ::testing::Test {
  protected:
   ScanCampaignTest() : topo(small_config()) {}
@@ -26,10 +31,9 @@ class ScanCampaignTest : public ::testing::Test {
 };
 
 TEST_F(ScanCampaignTest, SummaryMatchesGroundTruth) {
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig cfg;
-  cfg.localize = false;  // fingerprints only: fast full sweep
-  auto summary = campaign.run(topo.endpoints(), cfg);
+  measure::ParallelScanConfig cfg;  // fingerprints only: fast full sweep
+  const auto outcome = measure::parallel_scan(small_config(), cfg, kJobs);
+  const measure::ScanSummary& summary = outcome.summary;
 
   std::size_t truth_positive = 0;
   for (const auto& ep : topo.endpoints()) {
@@ -37,15 +41,17 @@ TEST_F(ScanCampaignTest, SummaryMatchesGroundTruth) {
   }
   EXPECT_EQ(summary.endpoints_probed, topo.endpoints().size());
   EXPECT_EQ(summary.tspu_positive, truth_positive);
-  EXPECT_EQ(campaign.results().size(), summary.endpoints_probed);
+  EXPECT_EQ(outcome.records.size(), summary.endpoints_probed);
 }
 
 TEST_F(ScanCampaignTest, LocalizationFillsHistogramAndLinks) {
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig cfg;
+  measure::ParallelScanConfig cfg;
+  cfg.localize = true;
+  cfg.trace_links = true;
   cfg.max_endpoints = 200;
   cfg.stride = 3;
-  auto summary = campaign.run(topo.endpoints(), cfg);
+  const measure::ScanSummary summary =
+      measure::parallel_scan(small_config(), cfg, kJobs).summary;
 
   int localized = 0;
   for (const auto& [hops, count] : summary.hops_histogram) {
@@ -60,19 +66,20 @@ TEST_F(ScanCampaignTest, LocalizationFillsHistogramAndLinks) {
 }
 
 TEST_F(ScanCampaignTest, StrideAndCapRespected) {
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig cfg;
-  cfg.localize = false;
+  measure::ParallelScanConfig cfg;
   cfg.max_endpoints = 37;
-  auto summary = campaign.run(topo.endpoints(), cfg);
-  EXPECT_EQ(summary.endpoints_probed, 37u);
+  cfg.stride = 3;
+  const auto outcome = measure::parallel_scan(small_config(), cfg, kJobs);
+  EXPECT_EQ(outcome.summary.endpoints_probed, 37u);
+  ASSERT_EQ(outcome.records.size(), 37u);
+  for (std::size_t k = 0; k < outcome.records.size(); ++k) {
+    EXPECT_EQ(outcome.records[k].endpoint_index, 3 * k);
+  }
 }
 
 TEST_F(ScanCampaignTest, PerPortAggregation) {
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig cfg;
-  cfg.localize = false;
-  auto summary = campaign.run(topo.endpoints(), cfg);
+  const measure::ScanSummary summary =
+      measure::parallel_scan(small_config(), {}, kJobs).summary;
   int probed_sum = 0, positive_sum = 0;
   for (const auto& [port, pair] : summary.by_port) {
     probed_sum += pair.first;

@@ -7,6 +7,16 @@
 using namespace tspu::tls;
 using tspu::util::Bytes;
 
+namespace tspu::tls {
+
+// Found by ADL. Without it gtest names each AlterationSuite case by a byte
+// dump of the struct, whose pointers change from run to run.
+void PrintTo(const Alteration& alt, std::ostream* os) {
+  *os << alt.name << (alt.sni_still_visible ? ": SNI visible" : ": SNI hidden");
+}
+
+}  // namespace tspu::tls
+
 namespace {
 
 TEST(ClientHello, BuildAndExtractSni) {

@@ -15,6 +15,13 @@ struct MatrixCase {
   measure::SniOutcome expected;
 };
 
+// Without this gtest names each case by a byte dump of the struct, whose
+// pointers change from run to run.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.domain << " from " << c.isp << ": "
+      << measure::sni_outcome_name(c.expected);
+}
+
 std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   std::string name = std::string(info.param.domain) + "_" + info.param.isp;
   for (char& c : name) {

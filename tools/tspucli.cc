@@ -10,7 +10,7 @@
 //   tspucli locate [--sni DOMAIN] [--isp NAME]
 //   tspucli traceroute [--isp NAME]
 //   tspucli strategies [--isp NAME]
-//   tspucli scan [--scale S] [--ases N] [--max M]
+//   tspucli scan [--scale S] [--ases N] [--max M] [--json]
 //   tspucli dump-ch <domain>
 //   tspucli help
 #include <cstdio>
@@ -235,12 +235,11 @@ int cmd_scan(const Args& args) {
   topo::NationalConfig cfg;
   cfg.endpoint_scale = args.scale;
   cfg.n_ases = static_cast<std::size_t>(args.ases);
-  topo::NationalTopology topo(cfg);
-  measure::ScanCampaign campaign(topo.net(), topo.prober());
-  measure::ScanConfig sc;
-  sc.max_endpoints = args.max;
-  sc.stride = std::max<std::size_t>(1, topo.endpoints().size() / args.max);
-  auto summary = campaign.run(topo.endpoints(), sc);
+  measure::ParallelScanConfig sc;
+  sc.localize = true;
+  sc.trace_links = true;
+  sc.spread_sample = args.max;  // 0 probes every endpoint
+  const measure::ScanSummary summary = measure::parallel_scan(cfg, sc).summary;
 
   if (args.json) {
     std::printf("%s\n", measure::scan_summary_json(summary).c_str());
@@ -294,6 +293,8 @@ int usage() {
       "  traceroute [--isp NAME]                    TCP SYN traceroute\n"
       "  strategies [--isp NAME]                    SS8 circumvention matrix\n"
       "  scan [--scale S] [--ases N] [--max M] [--json]  national frag-scan\n"
+      "                                             of about M endpoints spread\n"
+      "                                             over the world (0 = all)\n"
       "  dump-ch <domain>                           hex+class dump of a CH\n"
       "\nISPs: Rostelecom (2 devices), ER-Telecom (1), OBIT (3)\n");
   return 0;

@@ -12,8 +12,9 @@
 //   2. An include graph over src/ (quoted includes resolve against src/,
 //      headers are paired with their same-stem .cc implementation files),
 //      which gives cross-file *reachability*: the set of translation units
-//      whose code can run on runner::parallel_map / shard_map worker
-//      threads, each with a witness chain naming how it got there.
+//      whose code can run on runner::shard_map / parallel_map /
+//      checkpointed_map worker threads, each with a witness chain naming
+//      how it got there.
 //   3. A file-scope symbol index: declared namespaces, namespace-scope
 //      function definitions (with body extents), and mutable namespace-scope
 //      or function-local `static` / `thread_local` variables, all
@@ -62,15 +63,16 @@
 //
 //   shard-escape        Mutable namespace-scope or function-local static
 //                       state in any translation unit reachable (via the
-//                       include graph) from a parallel_map/shard_map call
-//                       site escapes the runner's replica-per-shard
-//                       isolation: it must be thread_local, and must be
-//                       reset by a reset_* function wired into the
-//                       begin_trial/reseed trial-isolation path. Findings
-//                       carry the include-path witness from a worker call
-//                       site to the offending TU. (src/runner and src/obs
-//                       are exempt: the runner owns thread management and
-//                       obs owns the per-shard recorder merge contract.)
+//                       include graph) from a shard_map / parallel_map /
+//                       checkpointed_map call site escapes the runner's
+//                       replica-per-shard isolation: it must be
+//                       thread_local, and must be reset by a reset_*
+//                       function wired into the begin_trial/reseed
+//                       trial-isolation path. Findings carry the
+//                       include-path witness from a worker call site to
+//                       the offending TU. (src/runner and src/obs are
+//                       exempt: the runner owns thread management and obs
+//                       owns the per-shard recorder merge contract.)
 //   capture-escape      Lambdas passed to parallel_map/shard_map must not
 //                       use a default by-reference capture ([&]) and must
 //                       not capture a namespace-scope mutable variable by
@@ -741,7 +743,7 @@ const std::set<std::string> kOwningParsers = {
 // Worker entry points: a file using any of these tokens can put code on
 // shard worker threads.
 const std::set<std::string> kWorkerEntry = {"shard_map", "parallel_map",
-                                            "ShardRunner"};
+                                            "checkpointed_map"};
 
 // ---------------------------------------------------------------------------
 // Per-file rules (the nine v1 rules + obs, ported onto the token stream)
@@ -841,7 +843,7 @@ void lint_file_tokens(Linter& lint, SourceFile& f) {
                     "'std::" + tk.text +
                         "' outside src/runner bypasses the shard runner's "
                         "deterministic-merge contract; use "
-                        "runner::ShardRunner / parallel_map");
+                        "runner::shard_map / parallel_map");
       }
     }
 
@@ -1011,7 +1013,7 @@ void lint_file_tokens(Linter& lint, SourceFile& f) {
       lint.report(f, inc.line, "raw-thread",
                   "threading header <" + inc.target +
                       "> is reserved for src/runner; shard work through "
-                      "runner::ShardRunner instead");
+                      "runner::shard_map instead");
     }
     if (kDeterministicDirs.count(f.module) != 0 &&
         inc.target.find("unordered") != std::string::npos) {
@@ -1095,9 +1097,7 @@ void lint_captures(Linter& lint, SourceFile& f,
     const bool named_entry = t[i].kind == Tok::Kind::kIdent &&
                              (t[i].text == "shard_map" ||
                               t[i].text == "parallel_map");
-    const bool member_map = t[i].kind == Tok::Kind::kIdent &&
-                            t[i].text == "map" && i > 0 && is(t[i - 1], ".");
-    if ((!named_entry && !member_map) || !is(tok_at(t, i + 1), "(")) continue;
+    if (!named_entry || !is(tok_at(t, i + 1), "(")) continue;
 
     const std::size_t open = i + 1;
     const std::size_t close = match(t, open);
