@@ -6,7 +6,8 @@
 // byte-identical records, metrics JSON, and trace JSONL (the
 // runner/checkpoint.h durability contract). Reports the checkpointing
 // wall-time overhead and snapshot size to stderr; stdout and the
-// BENCH report stay deterministic across job counts.
+// BENCH report stay deterministic across job counts. Exits 1 when the runs
+// disagree or a snapshot cannot be written.
 //
 // Driver mode (--ckpt PATH): runs one checkpointed scan for the CI leg.
 //   --ckpt PATH        snapshot file (enables driver mode)
@@ -246,7 +247,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (ckpt_path.empty()) return bench_mode();
+  if (ckpt_path.empty()) {
+    // A snapshot that cannot be written is a named error, as in driver mode.
+    try {
+      return bench_mode();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "checkpoint_resume: %s\n", e.what());
+      return 1;
+    }
+  }
   return driver_mode(ckpt_path, do_resume, abort_after, every, jobs,
                      out_prefix);
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "measure/common.h"
 #include "measure/domain_tester.h"
 #include "measure/registry_lag.h"
 #include "runner/runner.h"
@@ -96,7 +95,6 @@ int main() {
       },
       [&](Ctx& ctx, std::size_t i) {
         ctx.scenario->begin_trial(runner::item_seed(kSeed, i));
-        measure::reset_fresh_port();
         return ctx.tester->test_domain(*ctx.domains[i], tc);
       });
 

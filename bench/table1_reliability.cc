@@ -12,7 +12,6 @@
 
 #include "bench_common.h"
 #include "measure/behavior.h"
-#include "measure/common.h"
 #include "measure/reliability.h"
 #include "measure/retry.h"
 #include "netsim/faults.h"
@@ -101,17 +100,14 @@ int main() {
 
   // Flat item space: ((isp * 5) + kind) * trials + trial.
   const std::size_t n_items = std::size_t(3) * 5 * std::max(trials, 0);
-  measure::ReliabilityConfig rc;
-  rc.trials = trials;
   const std::vector<bool> unblocked = runner::shard_map(
       n_items, report.jobs(),
       [&cfg](int) { return std::make_unique<topo::Scenario>(cfg); },
       [&](std::unique_ptr<topo::Scenario>& scenario, std::size_t i) {
         scenario->begin_trial(runner::item_seed(kSeed, i));
-        measure::reset_fresh_port();
         const std::size_t cell = i / trials;
         auto& vp = scenario->vp(isps[cell / 5]);
-        return measure::reliability_trial(*scenario, vp, kinds[cell % 5], rc);
+        return measure::reliability_trial(*scenario, vp, kinds[cell % 5]);
       });
 
   std::array<std::array<int, 5>, 3> failures{};
@@ -190,7 +186,6 @@ int main() {
         [&fcfg](int) { return std::make_unique<topo::Scenario>(fcfg); },
         [&](std::unique_ptr<topo::Scenario>& scenario, std::size_t i) {
           scenario->begin_trial(runner::item_seed(mode_seed, i));
-          measure::reset_fresh_port();
           const bool trigger = i < n;
           return fault_cell(*scenario, trigger ? "facebook.com" : "example.com",
                             /*expect_blocked=*/trigger);

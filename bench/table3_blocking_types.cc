@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "measure/common.h"
 #include "measure/domain_tester.h"
 #include "runner/runner.h"
 #include "topo/scenario.h"
@@ -48,7 +47,6 @@ int main() {
       },
       [&tc](Ctx& ctx, std::size_t i) {
         ctx.scenario->begin_trial(runner::item_seed(kSeed, i));
-        measure::reset_fresh_port();
         return ctx.tester->test_domain(ctx.scenario->corpus().domains()[i], tc);
       });
 

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "bench_common.h"
-#include "measure/common.h"
 #include "measure/echo.h"
 #include "measure/target_filter.h"
 #include "runner/runner.h"
@@ -45,7 +44,6 @@ int main() {
       [&filtered](std::unique_ptr<topo::NationalTopology>& topo,
                   std::size_t i) {
         topo->begin_trial(runner::item_seed(kSeed, i));
-        measure::reset_fresh_port();
         const auto& ep = topo->endpoints()[filtered[i]];
         return measure::quack_echo_test(topo->net(), topo->prober(), ep.addr)
             .tspu_positive;

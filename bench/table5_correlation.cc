@@ -6,7 +6,6 @@
 
 #include "bench_common.h"
 #include "measure/behavior.h"
-#include "measure/common.h"
 #include "measure/echo.h"
 #include "measure/frag_probe.h"
 #include "measure/target_filter.h"
@@ -72,7 +71,6 @@ int main() {
       },
       [&](std::unique_ptr<topo::NationalTopology>& topo, std::size_t i) {
         topo->begin_trial(runner::item_seed(kSeed, i));
-        measure::reset_fresh_port();
         const bool echo_panel = i < n_echo;
         const auto& ep = topo->endpoints()[echo_panel
                                                ? echo_items[i]

@@ -8,9 +8,10 @@ namespace {
 
 // Per-worker DNS transaction-ID counter. thread_local keeps shard workers
 // from racing on it; reset_dns_query_ids() re-anchors it in the trial
-// isolation path (Scenario/NationalTopology::begin_trial) so the IDs a
-// trial observes depend only on that trial, not on which shard ran it or
-// what ran before — DNS IDs stay jobs-invariant.
+// isolation path (topo::World::begin_trial) so the IDs a trial observes
+// depend only on that trial, not on which shard ran it or what ran before —
+// DNS IDs stay jobs-invariant. The resolver hosts themselves are reset there
+// too, so their answers' IP IDs are per-trial as well.
 thread_local std::uint16_t next_query_id = 1;
 
 }  // namespace

@@ -43,8 +43,8 @@ std::optional<util::Ipv4Addr> read_dns_answer(const netsim::Host& client,
                                               std::uint16_t query_id);
 
 /// Re-anchors this worker's DNS transaction-ID counter. Called from the
-/// trial-isolation path (begin_trial) so query IDs depend only on the
-/// current trial, never on shard assignment or prior items.
+/// trial-isolation path (topo::World::begin_trial) so query IDs depend only
+/// on the current trial, never on shard assignment or prior items.
 void reset_dns_query_ids();
 
 }  // namespace tspu::ispdpi

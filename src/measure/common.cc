@@ -4,18 +4,6 @@
 
 namespace tspu::measure {
 
-namespace {
-thread_local std::uint32_t next_port = 20001;
-}  // namespace
-
-std::uint16_t fresh_port() {
-  const std::uint32_t p = next_port++;
-  // Wrap within the ephemeral range, skipping well-known ports.
-  return static_cast<std::uint16_t>(20001 + (p - 20001) % 40000);
-}
-
-void reset_fresh_port(std::uint16_t base) { next_port = base; }
-
 std::vector<SeenSegment> inbound_tcp(const netsim::Host& host,
                                      util::Ipv4Addr peer,
                                      std::uint16_t peer_port,

@@ -1,4 +1,4 @@
-// Shared helpers for the measurement toolkit: fresh port/IPID allocation and
+// Shared helpers for the measurement toolkit: fresh source ports and
 // capture-scanning utilities. Everything in measure/ observes the network
 // exclusively through packets — no function here reads middlebox state.
 #pragma once
@@ -13,17 +13,11 @@
 
 namespace tspu::measure {
 
-/// Monotonically increasing ephemeral ports. Every test of a sequence uses a
-/// fresh source port "to prevent residual censorship affecting results of
-/// subsequent tests" (§3). The counter is thread-local so parallel shards
-/// never observe each other's allocations.
-std::uint16_t fresh_port();
-
-/// Rewinds this thread's fresh_port() counter. The shard runner's per-item
-/// isolation resets it (to the same base for every item) so the ports a work
-/// item uses depend only on the item itself, not on the items that ran
-/// before it on the same shard.
-void reset_fresh_port(std::uint16_t base = 20001);
+/// Fresh source ports (§3). The per-worker counter lives in netsim so the
+/// per-item reset, topo::World::begin_trial, rewinds it; code that probes
+/// outside a trial calls reset_fresh_port() itself.
+using netsim::fresh_port;
+using netsim::reset_fresh_port;
 
 /// One parsed TCP segment pulled from a capture.
 struct SeenSegment {

@@ -2,6 +2,7 @@
 
 #include "ispdpi/resolver.h"
 #include "measure/common.h"
+#include "runner/runner.h"
 
 namespace tspu::measure {
 
@@ -90,21 +91,11 @@ DomainVerdict DomainTester::test_domain(const topo::DomainInfo& domain,
 std::vector<DomainVerdict> DomainTester::run(
     const std::vector<const topo::DomainInfo*>& domains,
     const DomainTestConfig& config) {
-  auto& net = scenario_.net();
-  auto& vps = scenario_.vantage_points();
-
   std::vector<DomainVerdict> out;
   out.reserve(domains.size());
-  for (const topo::DomainInfo* d : domains) {
-    out.push_back(test_domain(*d, config));
-
-    // Keep memory flat and let stale conntrack entries age out: drop
-    // finished flow state and advance the virtual clock a little, the same
-    // way real bulk measurements are spread over wall-clock time.
-    for (topo::VantagePoint& vp : vps) vp.host->reset_traffic_state();
-    scenario_.us_machine(0).reset_traffic_state();
-    scenario_.us_machine(1).reset_traffic_state();
-    net.sim().run_for(util::Duration::millis(200));
+  for (std::size_t i = 0; i < domains.size(); ++i) {
+    scenario_.begin_trial(runner::item_seed(0, i));
+    out.push_back(test_domain(*domains[i], config));
   }
   return out;
 }

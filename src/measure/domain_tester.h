@@ -48,14 +48,15 @@ class DomainTester {
  public:
   explicit DomainTester(topo::Scenario& scenario) : scenario_(scenario) {}
 
-  /// Tests every listed domain from every vantage point.
+  /// Tests every listed domain from every vantage point, isolating domain i
+  /// with Scenario::begin_trial(runner::item_seed(0, i)).
   std::vector<DomainVerdict> run(
       const std::vector<const topo::DomainInfo*>& domains,
       const DomainTestConfig& config = {});
 
   /// Tests one domain from every vantage point. Does NOT isolate: callers
-  /// looping over domains must reset traffic state between calls (run()
-  /// does) or use Scenario::begin_trial, as the sharded benches do.
+  /// looping over domains call Scenario::begin_trial before each one, as
+  /// run() and the sharded benches do.
   DomainVerdict test_domain(const topo::DomainInfo& domain,
                             const DomainTestConfig& config = {});
 

@@ -17,17 +17,8 @@ enum class TriggerKind { kSniI, kSniII, kSniIV, kQuic, kIpBased };
 
 std::string trigger_kind_name(TriggerKind k);
 
-struct ReliabilityResult {
-  TriggerKind kind;
-  int trials = 0;
-  int unblocked = 0;  ///< censorship failed to engage
-  double failure_rate() const {
-    return trials == 0 ? 0.0 : static_cast<double>(unblocked) / trials;
-  }
-};
-
+/// The domains the SNI trigger kinds test.
 struct ReliabilityConfig {
-  int trials = 2000;  ///< the paper used 20,000; scale for runtime
   std::string sni_i_domain = "facebook.com";
   std::string sni_ii_domain = "nordvpn.com";
   std::string sni_iv_domain = "twitter.com";
@@ -38,19 +29,13 @@ struct ReliabilityConfig {
 inline constexpr std::uint16_t kReliabilityServicePort = 9090;
 
 /// One trial of one trigger kind from `vp`; true when censorship failed to
-/// engage (the trial slipped through). Installs the vantage point's
-/// IP-based service listener on demand. Callers must isolate consecutive
-/// trials themselves — reset_traffic_state + a settling run_for, or
-/// Scenario::begin_trial for the sharded benches.
+/// engage (the trial slipped through). SNI trials target the US machines;
+/// IP-based trials send SYNs from the Tor node and SYN/ACK from the vantage
+/// point, checking for the RST/ACK rewrite (§5.2.1). Installs the vantage
+/// point's IP-based service listener on demand. Callers isolate consecutive
+/// trials with Scenario::begin_trial.
 bool reliability_trial(topo::Scenario& scenario, topo::VantagePoint& vp,
                        TriggerKind kind, const ReliabilityConfig& config = {});
-
-/// Runs all five trigger types from `vp`. SNI trials target the US
-/// machines; IP-based trials send SYNs from the Tor node and SYN/ACK from
-/// the vantage point, checking for the RST/ACK rewrite (§5.2.1).
-std::vector<ReliabilityResult> measure_reliability(
-    topo::Scenario& scenario, topo::VantagePoint& vp,
-    const ReliabilityConfig& config = {});
 
 /// Sharded reliability trials over one (ISP, trigger) cell with
 /// checkpoint/resume: item i is one reliability_trial isolated by

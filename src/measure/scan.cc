@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "measure/common.h"
 #include "obs/obs.h"
 #include "runner/runner.h"
 
@@ -63,7 +62,6 @@ std::vector<std::size_t> select_endpoints(
 ScanRecord probe_one(topo::NationalTopology& topo, std::size_t endpoint_index,
                      std::uint64_t seed, const ParallelScanConfig& config) {
   topo.begin_trial(seed);
-  reset_fresh_port();
   const topo::Endpoint& ep = topo.endpoints()[endpoint_index];
   TSPU_OBS_COUNT("measure.scan.probes");
   obs::Span span(obs::Layer::kMeasure, "scan.endpoint", topo.net().now(),

@@ -145,7 +145,7 @@ enum class DeviceFailMode {
   kFailClosed,  ///< drops everything (the path hard-fails)
 };
 
-/// Fault plan for a TSPU device (core::Device::set_fault_plan). Windows and
+/// Fault plan for a TSPU device (core::DeviceConfig::faults). Windows and
 /// reboot instants are relative to the trial epoch, captured at reseed().
 struct DeviceFaultPlan {
   DeviceFailMode flap_mode = DeviceFailMode::kFailOpen;
@@ -233,7 +233,7 @@ class FloodDriver {
   /// (Re)starts every campaign relative to the current sim instant: bumps
   /// the generation (orphaning callbacks scheduled by a previous trial) and
   /// reseeds the spoof stream. Called at topology construction and again by
-  /// begin_trial() right after reseed_stochastic().
+  /// topo::World::begin_trial() right after the device and link reseeds.
   void arm(std::uint64_t seed);
 
   const std::vector<FloodCampaign>& campaigns() const { return campaigns_; }

@@ -24,6 +24,20 @@ TcpServerOptions tls_server_options() {
   return opts;
 }
 
+namespace {
+constexpr std::uint32_t kFirstFreshPort = 20001;
+thread_local std::uint32_t next_port = kFirstFreshPort;
+}  // namespace
+
+std::uint16_t fresh_port() {
+  const std::uint32_t p = next_port++;
+  // Wrap within the ephemeral range, skipping well-known ports.
+  return static_cast<std::uint16_t>(kFirstFreshPort +
+                                    (p - kFirstFreshPort) % 40000);
+}
+
+void reset_fresh_port() { next_port = kFirstFreshPort; }
+
 // ---------------------------------------------------------------- TcpClient
 
 TcpClient::TcpClient(Host& host, util::Ipv4Addr dst, std::uint16_t dst_port,

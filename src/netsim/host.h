@@ -63,6 +63,17 @@ TcpServerOptions echo_server_options();
 /// Replies to any data with a ServerHello — the measurement machines' :443.
 TcpServerOptions tls_server_options();
 
+/// Monotonically increasing ephemeral source ports for measurement flows.
+/// Every test of a sequence uses a fresh source port "to prevent residual
+/// censorship affecting results of subsequent tests" (§3). The counter is
+/// thread-local so parallel shards never observe each other's allocations.
+std::uint16_t fresh_port();
+
+/// Rewinds this thread's fresh_port() counter. topo::World::begin_trial
+/// calls it, so the ports a work item uses depend only on the item itself,
+/// not on the items that ran before it on the same shard.
+void reset_fresh_port();
+
 struct TcpClientOptions {
   std::uint16_t src_port = 40000;
   std::uint8_t ttl = 64;
@@ -201,9 +212,9 @@ class Host : public Node {
                      TcpClientOptions opts = {});
 
   /// Drops captures, finished client connections, and server flow state.
-  /// Bulk testers (domain sweeps, reliability runs) call this between
-  /// trials to keep memory flat; references returned by connect() become
-  /// invalid.
+  /// topo::World::begin_trial calls this for every host its world
+  /// registered, between work items; references returned by connect()
+  /// become invalid.
   void reset_traffic_state();
 
   // ---- behavior knobs ----
@@ -222,9 +233,10 @@ class Host : public Node {
 
   std::uint16_t next_ip_id() { return ip_id_++; }
 
-  /// Rewinds the IP-ID and ISS counters to their construction values. The
-  /// parallel runner calls this between work items so a probe's packet trace
-  /// does not depend on how many probes ran before it on the same replica.
+  /// Rewinds the IP-ID and ISS counters to their construction values.
+  /// topo::World::begin_trial calls this between work items so a probe's
+  /// packet trace does not depend on how many probes ran before it on the
+  /// same replica.
   void reset_protocol_counters() {
     ip_id_ = 1;
     next_iss_ = 1u << 20;

@@ -15,9 +15,10 @@
 //    Completed items are reloaded verbatim; remaining items recompute to
 //    the same bytes on any shard.
 //  * Shard state: a resume always builds fresh replicas, at the same job
-//    count or any other. The trial-isolation path (begin_trial) resets
-//    everything an item can observe, so a fresh replica is equivalent to
-//    one that ran the earlier items, and no shard state is saved.
+//    count or any other. The trial-isolation path (topo::World::begin_trial)
+//    resets everything an item can observe, so a fresh replica is
+//    equivalent to one that ran the earlier items, and no shard state is
+//    saved.
 //  * Observability: the Recorder merge algebra is commutative and
 //    associative (counters/histograms sum, gauges max, trace items are
 //    disjoint per item), so saved per-shard recorder blobs merged at

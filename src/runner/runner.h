@@ -9,7 +9,7 @@
 // Determinism contract: a work item's result may depend only on (a) the
 // replica's configuration and seed, and (b) the item's own index/seed — never
 // on which items ran before it on the same replica. Callers enforce (b) with
-// the topo begin_trial()/reseed hooks; the runner then guarantees the merged
+// topo::World::begin_trial(); the runner then guarantees the merged
 // result vector is bit-identical for every K, including K=1, because slot i
 // is written only by the shard that owns item i and shards never share state.
 //

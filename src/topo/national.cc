@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "ispdpi/resolver.h"
-#include "netsim/router.h"
-#include "obs/obs.h"
-#include "util/buffer_pool.h"
+#include <memory>
 
 namespace tspu::topo {
 namespace {
@@ -17,10 +13,6 @@ using util::Ipv4Prefix;
 
 constexpr int kRegions = 8;
 constexpr std::size_t kEndpointsPerAccess = 200;
-
-/// Stream tag for flood-driver reseeds (begin_trial), disjoint from the
-/// device eviction-stream tags in tspu/device.cc.
-constexpr std::uint32_t kFloodStream = 0xf10du;
 
 /// Where in the AS the TSPU sits, which fixes the hop distance the
 /// frag-TTL localization should recover (Figure 12).
@@ -102,110 +94,49 @@ std::string as_kind_name(AsKind k) {
 }
 
 NationalTopology::NationalTopology(NationalConfig config)
-    : config_(config), policy_(std::make_shared<core::Policy>()) {
-  build();
-  if (config_.link_faults.any()) {
-    net_.set_default_link_faults(config_.link_faults);
-  }
-  if (config_.device_faults.any()) {
-    for (core::Device* d : devices_) d->set_fault_plan(config_.device_faults);
-  }
+    : World(config, config.seed) {
+  build(config);
 }
 
-void NationalTopology::reseed_stochastic(std::uint64_t seed) {
-  util::Rng root(seed);
-  for (core::Device* d : devices_) d->reseed(root.next());
-  net_.seed_loss_rng(root.next());
-  // Rotates every per-link fault stream and re-anchors the flap/reboot epoch
-  // at the current instant; drawn last so the device/loss streams above keep
-  // their historical seeds.
-  net_.reseed_fault_rngs(root.next());
-}
-
-void NationalTopology::begin_trial(std::uint64_t item_seed) {
-  // The quiesce below processes whatever the previous item left in flight,
-  // and how much that is depends on which items shared this replica — so
-  // none of it may reach the flight recorder, or per-item counters would
-  // differ across job counts.
-  obs::MuteGuard mute;
-  // Drain whatever the previous item left in flight, then jump the clock far
-  // past the longest TSPU timeout (480 s established conntrack), so every
-  // conntrack entry, blocking verdict, and fragment queue from earlier items
-  // is expired by the time this item's packets arrive.
-  net_.sim().run_until_idle();
-  net_.sim().run_for(util::Duration::seconds(1000));
-  reseed_stochastic(item_seed);
-  // Restart the flood campaigns with a trial-local spoof stream; leftovers
-  // from the previous item already ran dry during the quiesce above.
-  if (flood_driver_) {
-    flood_driver_->arm(netsim::fault_stream_seed(item_seed, kFloodStream, 0));
-  }
-  for (netsim::Host* h : {prober_, tor_node_}) {
-    h->reset_traffic_state();
-    h->reset_protocol_counters();
-  }
-  // DNS transaction IDs are per-worker state; re-anchor them so the IDs a
-  // trial sees do not encode how many queries earlier items sent.
-  ispdpi::reset_dns_query_ids();
-  // Payload-buffer free lists are per-worker state too: purge them so a
-  // trial's allocator footprint never depends on what ran before it.
-  util::reset_buffer_pool();
-  // Re-anchor trace timestamps at the trial start: shard clocks accumulate
-  // across the items a shard has run, so absolute times are job-count
-  // dependent while trial-relative times are not.
-  obs::anchor_epoch(net_.now());
-}
-
-void NationalTopology::build() {
-  util::Rng rng(config_.seed);
+void NationalTopology::build(const NationalConfig& config) {
+  util::Rng rng(config.seed);
   std::uint64_t device_seed = rng.next();
 
   // SNI-II policy entries used by the echo (Quack) measurement, and the
   // blocked-IP list headed by the Tor entry node.
   core::SniPolicy sni_ii;
   sni_ii.delayed_drop = true;
-  policy_->add_sni("play.google.com", sni_ii);
-  policy_->add_sni("nordvpn.com", sni_ii);
+  policy()->add_sni("play.google.com", sni_ii);
+  policy()->add_sni("nordvpn.com", sni_ii);
 
   // -------------------------------------------------------------- backbone
-  auto add_router = [&](const std::string& name, Ipv4Addr addr) {
-    return net_.add(std::make_unique<netsim::Router>(name, addr));
-  };
   const NodeId world = add_router("world", Ipv4Addr(198, 19, 1, 1));
   const NodeId ru_core = add_router("ru-core", Ipv4Addr(80, 64, 1, 1));
-  net_.link(world, ru_core);
-  net_.routes(world).set_default(ru_core);
-  net_.routes(ru_core).set_default(world);
+  net().link(world, ru_core);
+  net().routes(world).set_default(ru_core);
+  net().routes(ru_core).set_default(world);
 
-  {
-    auto prober = std::make_unique<netsim::Host>("paris-prober",
-                                                 Ipv4Addr(163, 172, 1, 10));
-    prober_ = prober.get();
-    net_.add(std::move(prober));
-    auto tor = std::make_unique<netsim::Host>("tor-entry",
-                                              Ipv4Addr(163, 172, 1, 11));
-    tor_node_ = tor.get();
-    net_.add(std::move(tor));
-    for (netsim::Host* h : {prober_, tor_node_}) {
-      net_.link(world, h->id());
-      net_.routes(world).add(Ipv4Prefix(h->addr(), 32), h->id());
-      net_.routes(h->id()).set_default(world);
-    }
+  prober_ = add_host("paris-prober", Ipv4Addr(163, 172, 1, 10));
+  tor_node_ = add_host("tor-entry", Ipv4Addr(163, 172, 1, 11));
+  for (netsim::Host* h : {prober_, tor_node_}) {
+    net().link(world, h->id());
+    net().routes(world).add(Ipv4Prefix(h->addr(), 32), h->id());
+    net().routes(h->id()).set_default(world);
   }
-  policy_->block_ip(tor_node_->addr());
+  policy()->block_ip(tor_node_->addr());
 
   std::vector<NodeId> regions;
   for (int i = 0; i < kRegions; ++i) {
     const NodeId r = add_router("region-" + std::to_string(i),
                                 Ipv4Addr(Ipv4Addr(80, 64, 2, 1).value() + i));
     regions.push_back(r);
-    net_.link(ru_core, r);
-    net_.routes(r).set_default(ru_core);
+    net().link(ru_core, r);
+    net().routes(r).set_default(ru_core);
   }
 
   // ----------------------------------------------------------- AS planning
   const std::size_t total_endpoints = std::max<std::size_t>(
-      200, static_cast<std::size_t>(4'005'138 * config_.endpoint_scale));
+      200, static_cast<std::size_t>(4'005'138 * config.endpoint_scale));
 
   struct Plan {
     AsKind kind;
@@ -220,7 +151,7 @@ void NationalTopology::build() {
     std::size_t echo_filtered = 0;    ///< echo servers with router/switch label
     std::size_t echo_unfiltered = 0;  ///< echo servers filtered out by Nmap
   };
-  std::vector<Plan> plans(config_.n_ases);
+  std::vector<Plan> plans(config.n_ases);
 
   // Kind mix: many tiny datacenter/small-org ASes, few but huge eyeball
   // networks — which is why only ~13% of ASes but ~25% of endpoints show
@@ -318,7 +249,7 @@ void NationalTopology::build() {
     // Table 4/5 proportions of the 1404-server echo population: 417
     // filtered in upstream-only ASes, 44 in symmetric ones, 675 in clean
     // ones, 268 filtered out by the Nmap labels. Scaled to echo_servers.
-    const std::size_t echo_total = config_.echo_servers;
+    const std::size_t echo_total = config.echo_servers;
     const double unit = static_cast<double>(echo_total) / 1404.0;
     const std::size_t filtered_up = static_cast<std::size_t>(417 * unit);
     const std::size_t filtered_sym = static_cast<std::size_t>(44 * unit);
@@ -365,24 +296,24 @@ void NationalTopology::build() {
     if (plan.depth == DeviceDepth::kTransitLink) {
       const NodeId transit =
           add_router(info.name + "-transit", Ipv4Addr(base + 5));
-      net_.link(region, transit);
-      net_.routes(transit).set_default(region);
-      net_.routes(region).add(info.prefix, transit);
+      net().link(region, transit);
+      net().routes(transit).set_default(region);
+      net().routes(region).add(info.prefix, transit);
       upstream_attach = transit;
     }
 
     const NodeId border = add_router(info.name + "-border", Ipv4Addr(base + 1));
-    net_.link(upstream_attach, border);
-    net_.routes(border).set_default(upstream_attach);
-    net_.routes(upstream_attach).add(info.prefix, border);
-    net_.routes(ru_core).add(info.prefix, region);
+    net().link(upstream_attach, border);
+    net().routes(border).set_default(upstream_attach);
+    net().routes(upstream_attach).add(info.prefix, border);
+    net().routes(ru_core).add(info.prefix, region);
 
     // Asymmetric variants get a second border for one direction.
     NodeId border_up = border, border_down = border;
     if (plan.up_only || plan.down_only) {
       const NodeId alt = add_router(info.name + "-border2", Ipv4Addr(base + 2));
-      net_.link(upstream_attach, alt);
-      net_.routes(alt).set_default(upstream_attach);
+      net().link(upstream_attach, alt);
+      net().routes(alt).set_default(upstream_attach);
       if (plan.up_only) {
         border_up = border;   // device goes on this link
         border_down = alt;    // return path bypasses it
@@ -392,7 +323,7 @@ void NationalTopology::build() {
       }
       // Downstream enters through `border_down`; upstream leaves through
       // `border_up`. The device (spliced below) only sits on one of them.
-      net_.routes(upstream_attach).rewrite_next_hop(border, border_down);
+      net().routes(upstream_attach).rewrite_next_hop(border, border_down);
     }
 
     // Optional aggregation chain below the border (asymmetric ASes keep a
@@ -404,9 +335,9 @@ void NationalTopology::build() {
       const NodeId agg = add_router(
           info.name + "-agg" + std::to_string(k),
           Ipv4Addr(base + 6 + static_cast<std::uint32_t>(k)));
-      net_.link(attach_up, agg);
-      net_.routes(agg).set_default(attach_up);
-      net_.routes(attach_up).add(info.prefix, agg);
+      net().link(attach_up, agg);
+      net().routes(agg).set_default(attach_up);
+      net().routes(attach_up).add(info.prefix, agg);
       attach_up = attach_down = agg;
     }
 
@@ -419,13 +350,13 @@ void NationalTopology::build() {
           info.name + "-acc" + std::to_string(a),
           Ipv4Addr(base + 10 + static_cast<std::uint32_t>(a)));
       access_routers.push_back(acc);
-      net_.link(attach_up, acc);
-      if (attach_down != attach_up) net_.link(attach_down, acc);
-      net_.routes(acc).set_default(attach_up);
+      net().link(attach_up, acc);
+      if (attach_down != attach_up) net().link(attach_down, acc);
+      net().routes(acc).set_default(attach_up);
       const Ipv4Prefix slice(
           Ipv4Addr(base + 0x100 + static_cast<std::uint32_t>(a) * 0x100), 24);
-      net_.routes(attach_up).add(slice, acc);
-      if (attach_down != attach_up) net_.routes(attach_down).add(slice, acc);
+      net().routes(attach_up).add(slice, acc);
+      if (attach_down != attach_up) net().routes(attach_down).add(slice, acc);
     }
 
     // Ground-truth visibility/hops for this AS's endpoints.
@@ -452,10 +383,10 @@ void NationalTopology::build() {
           info.name + "-ep" + std::to_string(e), addr);
       netsim::Host* raw = host.get();
       raw->set_capture_limit(0);  // endpoints don't need pcaps
-      net_.add(std::move(host));
-      net_.link(access_routers[a], raw->id());
-      net_.routes(access_routers[a]).add(Ipv4Prefix(addr, 32), raw->id());
-      net_.routes(raw->id()).set_default(access_routers[a]);
+      net().add(std::move(host));
+      net().link(access_routers[a], raw->id());
+      net().routes(access_routers[a]).add(Ipv4Prefix(addr, 32), raw->id());
+      net().routes(raw->id()).set_default(access_routers[a]);
 
       Endpoint ep;
       ep.host = raw;
@@ -491,18 +422,15 @@ void NationalTopology::build() {
     // measure — an endpoint's IP-ID/ISN counters would otherwise advance by
     // however many flood packets earlier work items pushed through this
     // replica, which is job-count dependent.
-    if (!config_.floods.empty() && down_visible && !access_routers.empty()) {
+    if (!config.floods.empty() && down_visible && !access_routers.empty()) {
       const Ipv4Addr sink_addr(base + 0x100 + 0xFE);
-      auto sink =
-          std::make_unique<netsim::Host>(info.name + "-floodsink", sink_addr);
-      netsim::Host* raw_sink = sink.get();
+      netsim::Host* raw_sink = add_host(info.name + "-floodsink", sink_addr);
       raw_sink->rst_on_closed_port = false;
       raw_sink->set_capture_limit(0);
-      net_.add(std::move(sink));
-      net_.link(access_routers[0], raw_sink->id());
-      net_.routes(access_routers[0])
+      net().link(access_routers[0], raw_sink->id());
+      net().routes(access_routers[0])
           .add(Ipv4Prefix(sink_addr, 32), raw_sink->id());
-      net_.routes(raw_sink->id()).set_default(access_routers[0]);
+      net().routes(raw_sink->id()).set_default(access_routers[0]);
       flood_sinks.push_back(sink_addr);
     }
 
@@ -511,39 +439,26 @@ void NationalTopology::build() {
       core::DeviceConfig cfg;
       cfg.failures = national_device_rates();
       if (plan.up_only) cfg.failures.ip_based = 0.03;  // Table 5 noise cell
-      cfg.conn_budget = config_.conn_budget;
-      cfg.frag_budget = config_.frag_budget;
-      cfg.overload = config_.overload;
       cfg.seed = device_seed++;
-      auto dev = std::make_unique<core::Device>("tspu-" + info.name, policy_, cfg);
-      devices_.push_back(dev.get());
+      const std::string name = "tspu-" + info.name;
       switch (plan.depth) {
         case DeviceDepth::kAccessLink:
           // One device per access uplink; the first link is representative,
           // remaining access routers get their own boxes.
           for (std::size_t a = 0; a < access_routers.size(); ++a) {
-            if (a == 0) {
-              net_.insert_inline(access_routers[a], attach_up, std::move(dev));
-            } else {
-              core::DeviceConfig extra_cfg = cfg;
-              extra_cfg.seed = device_seed++;
-              auto extra_dev = std::make_unique<core::Device>(
-                  "tspu-" + info.name + "-" + std::to_string(a), policy_,
-                  extra_cfg);
-              devices_.push_back(extra_dev.get());
-              net_.insert_inline(access_routers[a], attach_up,
-                                 std::move(extra_dev));
-            }
+            if (a > 0) cfg.seed = device_seed++;
+            add_device(a == 0 ? name : name + "-" + std::to_string(a), cfg,
+                       access_routers[a], attach_up);
           }
           break;
         case DeviceDepth::kBorderLink:
           // Down-only devices sit on the return-path border; symmetric and
           // up-only ones on the (shared or upstream) border.
-          net_.insert_inline(plan.down_only ? border_down : border_up,
-                             upstream_attach, std::move(dev));
+          add_device(name, cfg, plan.down_only ? border_down : border_up,
+                     upstream_attach);
           break;
         case DeviceDepth::kTransitLink:
-          net_.insert_inline(upstream_attach, region, std::move(dev));
+          add_device(name, cfg, upstream_attach, region);
           break;
         case DeviceDepth::kNone:
           break;
@@ -554,25 +469,22 @@ void NationalTopology::build() {
   }
 
   // ----------------------------------------------------- flood campaigns
-  if (!config_.floods.empty()) {
-    auto fsrc = std::make_unique<netsim::Host>("flood-src",
-                                               Ipv4Addr(198, 19, 2, 10));
-    flood_src_ = fsrc.get();
-    net_.add(std::move(fsrc));
-    net_.link(world, flood_src_->id());
-    net_.routes(world).add(Ipv4Prefix(flood_src_->addr(), 32),
-                           flood_src_->id());
-    net_.routes(flood_src_->id()).set_default(world);
-    flood_src_->rst_on_closed_port = false;
-    flood_src_->set_capture_limit(0);
+  if (!config.floods.empty()) {
+    netsim::Host* flood_src = add_host("flood-src", Ipv4Addr(198, 19, 2, 10));
+    net().link(world, flood_src->id());
+    net().routes(world).add(Ipv4Prefix(flood_src->addr(), 32),
+                            flood_src->id());
+    net().routes(flood_src->id()).set_default(world);
+    flood_src->rst_on_closed_port = false;
+    flood_src->set_capture_limit(0);
     // Backscatter sink: the spoofed-source /22 routes back to the flood
     // source, which silently drops whatever RSTs/SYN-ACKs endpoints return
     // (otherwise they would ping-pong on the world<->ru-core default routes
     // until TTL exhaustion).
-    net_.routes(world).add(Ipv4Prefix(Ipv4Addr(198, 19, 4, 0), 22),
-                           flood_src_->id());
+    net().routes(world).add(Ipv4Prefix(Ipv4Addr(198, 19, 4, 0), 22),
+                            flood_src->id());
 
-    std::vector<netsim::FloodCampaign> campaigns = config_.floods;
+    std::vector<netsim::FloodCampaign> campaigns = config.floods;
     for (netsim::FloodCampaign& c : campaigns) {
       if (c.spoof_base.value() == 0) {
         c.spoof_base = Ipv4Addr(198, 19, 4, 0);
@@ -585,10 +497,7 @@ void NationalTopology::build() {
         c.targets = flood_sinks;
       }
     }
-    flood_driver_ =
-        std::make_unique<netsim::FloodDriver>(*flood_src_, std::move(campaigns));
-    flood_driver_->arm(
-        netsim::fault_stream_seed(config_.seed, kFloodStream, 0));
+    add_flood_driver(*flood_src, std::move(campaigns));
   }
 }
 

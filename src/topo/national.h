@@ -10,13 +10,12 @@
 // downstream-only devices populate the disagreement cells of Table 5.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "netsim/host.h"
-#include "netsim/network.h"
 #include "topo/corpus.h"
+#include "topo/world.h"
 #include "tspu/device.h"
 #include "util/rng.h"
 
@@ -63,7 +62,7 @@ struct AsInfo {
   std::size_t endpoint_count = 0;
 };
 
-struct NationalConfig {
+struct NationalConfig : DeploymentConfig {
   /// 1.0 reproduces the paper's absolute endpoint counts (4M endpoints —
   /// slow); benches default to 0.01.
   double endpoint_scale = 0.01;
@@ -72,39 +71,15 @@ struct NationalConfig {
   /// Number of echo servers (TCP/7) — kept at the paper's absolute scale
   /// since the echo experiment was small (Table 4).
   std::size_t echo_servers = 1404;
-  /// When non-empty, installed as the network-wide default link fault plan
-  /// (netsim/faults.h) — the fault-matrix benches and robustness tests
-  /// degrade the whole topology this way. Fault RNG streams are rotated by
-  /// begin_trial(), so faulted scans stay job-count invariant.
-  netsim::LinkFaultPlan link_faults;
-  /// When non-empty, installed on every TSPU device (fail-open/fail-closed
-  /// windows, mid-flow reboots). Windows are relative to each trial's epoch.
-  netsim::DeviceFaultPlan device_faults;
-  /// Conntrack capacity budget applied to every device. Default unbounded —
-  /// byte-identical to the pre-budget deployment.
-  core::TableBudget conn_budget;
-  /// Fragment-engine capacity budget applied to every device.
-  core::TableBudget frag_budget;
-  /// Overload policy (fail-open/fail-closed + hysteresis band) applied to
-  /// every device; consulted only when a bounded table rejects admission.
-  core::OverloadPolicy overload;
-  /// Background flood campaigns, replayed from a host outside RuNet toward
-  /// silent sink hosts behind TSPU devices (one sink per covered AS when
-  /// the campaign does not name its own targets — flood traffic must never
-  /// touch real endpoints, whose protocol counters would otherwise pick up
-  /// job-count-dependent churn). Re-armed by every begin_trial().
-  std::vector<netsim::FloodCampaign> floods;
+  // The inherited `floods` are replayed from a host outside RuNet toward
+  // silent sink hosts behind TSPU devices (one sink per covered AS when a
+  // campaign names no targets of its own): flood traffic must never touch
+  // real endpoints, which begin_trial() does not reset.
 };
 
-class NationalTopology {
+class NationalTopology : public World {
  public:
   explicit NationalTopology(NationalConfig config = {});
-
-  NationalTopology(const NationalTopology&) = delete;
-  NationalTopology& operator=(const NationalTopology&) = delete;
-
-  netsim::Network& net() { return net_; }
-  core::PolicyPtr policy() { return policy_; }
 
   const std::vector<Endpoint>& endpoints() const { return endpoints_; }
   const std::vector<AsInfo>& ases() const { return ases_; }
@@ -114,41 +89,13 @@ class NationalTopology {
   /// The blocked Tor-entry-node machine, same data center as the prober.
   netsim::Host& tor_node() { return *tor_node_; }
 
-  const NationalConfig& config() const { return config_; }
-
-  void settle() { net_.sim().run_until_idle(); }
-
-  /// Every TSPU device in the topology, in deterministic creation order.
-  const std::vector<core::Device*>& devices() const { return devices_; }
-
-  /// The background flood driver (null unless config.floods was set).
-  netsim::FloodDriver* flood_driver() { return flood_driver_.get(); }
-
-  /// Reseeds the stochastic parts of the world (device failure RNGs, link
-  /// loss) from one root seed, forked per consumer.
-  void reseed_stochastic(std::uint64_t seed);
-
-  /// Isolates the next work item: drains and advances the virtual clock far
-  /// past every conntrack/blocking/fragment timeout (so state left by prior
-  /// items lazily expires), reseeds the stochastic state from `item_seed`,
-  /// and resets the measurement machines' captures and protocol counters.
-  /// After this call the item's outcome depends only on (config, item_seed),
-  /// which is what lets the shard runner replay any item on any shard.
-  void begin_trial(std::uint64_t item_seed);
-
  private:
-  void build();
+  void build(const NationalConfig& config);
 
-  NationalConfig config_;
-  netsim::Network net_;
-  core::PolicyPtr policy_;
   std::vector<Endpoint> endpoints_;
   std::vector<AsInfo> ases_;
-  std::vector<core::Device*> devices_;
   netsim::Host* prober_ = nullptr;
   netsim::Host* tor_node_ = nullptr;
-  netsim::Host* flood_src_ = nullptr;
-  std::unique_ptr<netsim::FloodDriver> flood_driver_;
 };
 
 /// The ten most-open ports of the paper's Censys scan (Figure 9).

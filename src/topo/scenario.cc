@@ -3,9 +3,6 @@
 #include <stdexcept>
 
 #include "ispdpi/resolver.h"
-#include "netsim/router.h"
-#include "obs/obs.h"
-#include "util/buffer_pool.h"
 
 namespace tspu::topo {
 namespace {
@@ -54,27 +51,12 @@ core::FailureRates ertelecom_rates() {
   return r;
 }
 
-/// Stream tag for per-ISP flood-driver reseeds (begin_trial), disjoint from
-/// the device eviction-stream tags in tspu/device.cc.
-constexpr std::uint32_t kFloodStream = 0xf10du;
-
 }  // namespace
 
-netsim::NodeId Scenario::add_router(const std::string& name, Ipv4Addr addr) {
-  return net_.add(std::make_unique<netsim::Router>(name, addr));
-}
-
-netsim::Host* Scenario::add_host(const std::string& name, Ipv4Addr addr) {
-  auto host = std::make_unique<netsim::Host>(name, addr);
-  netsim::Host* raw = host.get();
-  net_.add(std::move(host));
-  return raw;
-}
-
 Scenario::Scenario(ScenarioConfig config)
-    : policy_(std::make_shared<core::Policy>()),
+    : World(config, config.seed),
       corpus_(DomainCorpus::generate(config.corpus)) {
-  corpus_.install_policy(*policy_);
+  corpus_.install_policy(*policy());
   set_throttling_era(config.throttling_era);
   const core::FailureRates no_failures{};
 
@@ -90,44 +72,35 @@ Scenario::Scenario(ScenarioConfig config)
   paris_mm_ = add_host("paris-mm", Ipv4Addr(163, 172, 0, 10));
   tor_node_ = add_host("tor-entry", Ipv4Addr(163, 172, 0, 11));
 
-  net_.link(core_r, us_r);
-  net_.link(core_r, paris_r);
+  net().link(core_r, us_r);
+  net().link(core_r, paris_r);
   for (netsim::Host* h : us_mm_) {
-    net_.link(us_r, h->id());
-    net_.routes(us_r).add(Ipv4Prefix(h->addr(), 32), h->id());
-    net_.routes(h->id()).set_default(us_r);
+    net().link(us_r, h->id());
+    net().routes(us_r).add(Ipv4Prefix(h->addr(), 32), h->id());
+    net().routes(h->id()).set_default(us_r);
   }
   for (netsim::Host* h : {paris_mm_, tor_node_}) {
-    net_.link(paris_r, h->id());
-    net_.routes(paris_r).add(Ipv4Prefix(h->addr(), 32), h->id());
-    net_.routes(h->id()).set_default(paris_r);
+    net().link(paris_r, h->id());
+    net().routes(paris_r).add(Ipv4Prefix(h->addr(), 32), h->id());
+    net().routes(h->id()).set_default(paris_r);
   }
-  net_.routes(us_r).set_default(core_r);
-  net_.routes(paris_r).set_default(core_r);
+  net().routes(us_r).set_default(core_r);
+  net().routes(paris_r).set_default(core_r);
 
   // ------------------------------------------------------------ Russia
   const NodeId ru_core = add_router("ru-core", Ipv4Addr(80, 64, 0, 1));
   const NodeId transit_rt =
       add_router("transit-rostelecom", Ipv4Addr(188, 128, 0, 1));
   const NodeId transit_rc = add_router("transit-rascom", Ipv4Addr(81, 27, 0, 1));
-  net_.link(core_r, ru_core);
-  net_.link(ru_core, transit_rt);
-  net_.link(ru_core, transit_rc);
-  net_.routes(ru_core).set_default(core_r);
-  net_.routes(transit_rt).set_default(ru_core);
-  net_.routes(transit_rc).set_default(ru_core);
-  net_.routes(core_r).add(Ipv4Prefix(Ipv4Addr(198, 41, 0, 0), 16), us_r);
-  net_.routes(core_r).add(Ipv4Prefix(Ipv4Addr(163, 172, 0, 0), 16), paris_r);
-  net_.routes(core_r).add(Ipv4Prefix(Ipv4Addr(5, 0, 0, 0), 8), ru_core);
-
-  // State-table budgets and the overload policy are deployment-wide (§8's
-  // "provisioned with enough computation and memory resources" knob): every
-  // device gets the same caps. Defaults are unbounded, i.e. a no-op.
-  auto apply_budgets = [&config](core::DeviceConfig& cfg) {
-    cfg.conn_budget = config.conn_budget;
-    cfg.frag_budget = config.frag_budget;
-    cfg.overload = config.overload;
-  };
+  net().link(core_r, ru_core);
+  net().link(ru_core, transit_rt);
+  net().link(ru_core, transit_rc);
+  net().routes(ru_core).set_default(core_r);
+  net().routes(transit_rt).set_default(ru_core);
+  net().routes(transit_rc).set_default(ru_core);
+  net().routes(core_r).add(Ipv4Prefix(Ipv4Addr(198, 41, 0, 0), 16), us_r);
+  net().routes(core_r).add(Ipv4Prefix(Ipv4Addr(163, 172, 0, 0), 16), paris_r);
+  net().routes(core_r).add(Ipv4Prefix(Ipv4Addr(5, 0, 0, 0), 8), ru_core);
 
   // Helper assembling one residential ISP and returning its VantagePoint.
   struct IspBuild {
@@ -149,16 +122,16 @@ Scenario::Scenario(ScenarioConfig config)
     netsim::Host* resolver = add_host(isp + "-resolver", Ipv4Addr(base + 53));
     netsim::Host* blockpage = add_host(isp + "-blockpage", Ipv4Addr(base + 80));
 
-    net_.link(border_up, access);
-    if (border_down != border_up) net_.link(border_down, access);
+    net().link(border_up, access);
+    if (border_down != border_up) net().link(border_down, access);
     for (netsim::Host* h : {vp_host, resolver, blockpage}) {
-      net_.link(access, h->id());
-      net_.routes(access).add(Ipv4Prefix(h->addr(), 32), h->id());
-      net_.routes(h->id()).set_default(access);
+      net().link(access, h->id());
+      net().routes(access).add(Ipv4Prefix(h->addr(), 32), h->id());
+      net().routes(h->id()).set_default(access);
     }
-    net_.routes(access).set_default(border_up);
-    net_.routes(border_up).add(Ipv4Prefix(net_base, 16), access);
-    net_.routes(border_down).add(Ipv4Prefix(net_base, 16), access);
+    net().routes(access).set_default(border_up);
+    net().routes(border_up).add(Ipv4Prefix(net_base, 16), access);
+    net().routes(border_down).add(Ipv4Prefix(net_base, 16), access);
 
     // Blockpage server answers HTTP-ish on port 80.
     netsim::TcpServerOptions page;
@@ -186,36 +159,29 @@ Scenario::Scenario(ScenarioConfig config)
     const NodeId agg = add_router("rostelecom-agg", Ipv4Addr(5, 16, 0, 2));
     const NodeId border_a = add_router("rostelecom-border-a", Ipv4Addr(5, 16, 0, 3));
     const NodeId border_b = add_router("rostelecom-border-b", Ipv4Addr(5, 16, 0, 4));
-    net_.link(ru_core, border_a);
-    net_.link(ru_core, border_b);
-    net_.link(border_a, agg);
-    net_.link(border_b, agg);
-    net_.routes(border_a).set_default(ru_core);
-    net_.routes(border_b).set_default(ru_core);
-    net_.routes(agg).set_default(border_a);  // upstream exits via border-a
-    net_.routes(ru_core).add(Ipv4Prefix(Ipv4Addr(5, 16, 0, 0), 16),
-                             border_b);      // downstream returns via border-b
-    net_.routes(border_a).add(Ipv4Prefix(Ipv4Addr(5, 16, 0, 0), 16), agg);
-    net_.routes(border_b).add(Ipv4Prefix(Ipv4Addr(5, 16, 0, 0), 16), agg);
+    net().link(ru_core, border_a);
+    net().link(ru_core, border_b);
+    net().link(border_a, agg);
+    net().link(border_b, agg);
+    net().routes(border_a).set_default(ru_core);
+    net().routes(border_b).set_default(ru_core);
+    net().routes(agg).set_default(border_a);  // upstream exits via border-a
+    net().routes(ru_core).add(Ipv4Prefix(Ipv4Addr(5, 16, 0, 0), 16),
+                              border_b);      // downstream returns via border-b
+    net().routes(border_a).add(Ipv4Prefix(Ipv4Addr(5, 16, 0, 0), 16), agg);
+    net().routes(border_b).add(Ipv4Prefix(Ipv4Addr(5, 16, 0, 0), 16), agg);
 
     IspBuild isp = build_isp("Rostelecom", Ipv4Addr(5, 16, 0, 0), agg, agg);
 
-    core::DeviceConfig sym_cfg;
-    sym_cfg.capabilities = config.capabilities;
-    sym_cfg.failures = config.perfect_devices ? no_failures : rostelecom_rates();
-    apply_budgets(sym_cfg);
-    sym_cfg.seed = device_seed++;
-    auto sym = std::make_unique<core::Device>("tspu-rt-sym", policy_, sym_cfg);
-    core::Device* sym_raw = sym.get();
-    net_.insert_inline(isp.access, agg, std::move(sym));
+    core::DeviceConfig cfg;
+    cfg.capabilities = config.capabilities;
+    cfg.failures = config.perfect_devices ? no_failures : rostelecom_rates();
+    cfg.seed = device_seed++;
+    core::Device* sym = add_device("tspu-rt-sym", cfg, isp.access, agg);
+    cfg.seed = device_seed++;
+    core::Device* up = add_device("tspu-rt-uponly", cfg, agg, border_a);
 
-    core::DeviceConfig up_cfg = sym_cfg;
-    up_cfg.seed = device_seed++;
-    auto up = std::make_unique<core::Device>("tspu-rt-uponly", policy_, up_cfg);
-    core::Device* up_raw = up.get();
-    net_.insert_inline(agg, border_a, std::move(up));
-
-    isp.vp.devices = {sym_raw, up_raw};
+    isp.vp.devices = {sym, up};
     isp.vp.symmetric_devices = 1;
     vps_.push_back(isp.vp);
   }
@@ -223,22 +189,17 @@ Scenario::Scenario(ScenarioConfig config)
   // --- ER-Telecom (AS50544): one symmetric device.
   {
     const NodeId border = add_router("ertelecom-border", Ipv4Addr(5, 12, 0, 2));
-    net_.link(ru_core, border);
-    net_.routes(border).set_default(ru_core);
-    net_.routes(ru_core).add(Ipv4Prefix(Ipv4Addr(5, 12, 0, 0), 16), border);
+    net().link(ru_core, border);
+    net().routes(border).set_default(ru_core);
+    net().routes(ru_core).add(Ipv4Prefix(Ipv4Addr(5, 12, 0, 0), 16), border);
 
     IspBuild isp = build_isp("ER-Telecom", Ipv4Addr(5, 12, 0, 0), border, border);
 
     core::DeviceConfig cfg;
     cfg.capabilities = config.capabilities;
     cfg.failures = config.perfect_devices ? no_failures : ertelecom_rates();
-    apply_budgets(cfg);
     cfg.seed = device_seed++;
-    auto dev = std::make_unique<core::Device>("tspu-ert-sym", policy_, cfg);
-    core::Device* raw = dev.get();
-    net_.insert_inline(isp.access, border, std::move(dev));
-
-    isp.vp.devices = {raw};
+    isp.vp.devices = {add_device("tspu-ert-sym", cfg, isp.access, border)};
     isp.vp.symmetric_devices = 1;
     vps_.push_back(isp.vp);
   }
@@ -250,42 +211,33 @@ Scenario::Scenario(ScenarioConfig config)
   {
     const NodeId obit_core = add_router("obit-core", Ipv4Addr(5, 8, 0, 2));
     const NodeId obit_return = add_router("obit-return", Ipv4Addr(5, 8, 0, 3));
-    net_.link(ru_core, obit_return);
-    net_.link(obit_return, obit_core);
-    net_.link(obit_core, transit_rt);
-    net_.link(obit_core, transit_rc);
-    net_.routes(obit_return).set_default(ru_core);
-    net_.routes(obit_return).add(Ipv4Prefix(Ipv4Addr(5, 8, 0, 0), 16), obit_core);
-    net_.routes(ru_core).add(Ipv4Prefix(Ipv4Addr(5, 8, 0, 0), 16), obit_return);
+    net().link(ru_core, obit_return);
+    net().link(obit_return, obit_core);
+    net().link(obit_core, transit_rt);
+    net().link(obit_core, transit_rc);
+    net().routes(obit_return).set_default(ru_core);
+    net().routes(obit_return).add(Ipv4Prefix(Ipv4Addr(5, 8, 0, 0), 16), obit_core);
+    net().routes(ru_core).add(Ipv4Prefix(Ipv4Addr(5, 8, 0, 0), 16), obit_return);
     // Destination-dependent upstream transit (asymmetric routing, §7.1.1).
-    net_.routes(obit_core).add(Ipv4Prefix(Ipv4Addr(163, 172, 0, 0), 16),
-                               transit_rc);
-    net_.routes(obit_core).set_default(transit_rt);
+    net().routes(obit_core).add(Ipv4Prefix(Ipv4Addr(163, 172, 0, 0), 16),
+                                transit_rc);
+    net().routes(obit_core).set_default(transit_rt);
 
     IspBuild isp = build_isp("OBIT", Ipv4Addr(5, 8, 0, 0), obit_core, obit_core);
 
-    core::DeviceConfig sym_cfg;
-    sym_cfg.capabilities = config.capabilities;
-    sym_cfg.failures = config.perfect_devices ? no_failures : obit_rates();
-    apply_budgets(sym_cfg);
-    sym_cfg.seed = device_seed++;
-    auto sym = std::make_unique<core::Device>("tspu-obit-sym", policy_, sym_cfg);
-    core::Device* sym_raw = sym.get();
-    net_.insert_inline(isp.access, obit_core, std::move(sym));
+    core::DeviceConfig cfg;
+    cfg.capabilities = config.capabilities;
+    cfg.failures = config.perfect_devices ? no_failures : obit_rates();
+    cfg.seed = device_seed++;
+    core::Device* sym = add_device("tspu-obit-sym", cfg, isp.access, obit_core);
+    cfg.seed = device_seed++;
+    core::Device* up_rt =
+        add_device("tspu-transit-rt", cfg, obit_core, transit_rt);
+    cfg.seed = device_seed++;
+    core::Device* up_rc =
+        add_device("tspu-transit-rc", cfg, obit_core, transit_rc);
 
-    core::DeviceConfig up_cfg = sym_cfg;
-    up_cfg.seed = device_seed++;
-    auto up_rt = std::make_unique<core::Device>("tspu-transit-rt", policy_, up_cfg);
-    core::Device* up_rt_raw = up_rt.get();
-    net_.insert_inline(obit_core, transit_rt, std::move(up_rt));
-
-    core::DeviceConfig up2_cfg = sym_cfg;
-    up2_cfg.seed = device_seed++;
-    auto up_rc = std::make_unique<core::Device>("tspu-transit-rc", policy_, up2_cfg);
-    core::Device* up_rc_raw = up_rc.get();
-    net_.insert_inline(obit_core, transit_rc, std::move(up_rc));
-
-    isp.vp.devices = {sym_raw, up_rt_raw, up_rc_raw};
+    isp.vp.devices = {sym, up_rt, up_rc};
     isp.vp.symmetric_devices = 1;
     vps_.push_back(isp.vp);
   }
@@ -293,10 +245,10 @@ Scenario::Scenario(ScenarioConfig config)
   // ------------------------------------------------- policy: blocked IPs
   // The Tor entry node ("out-registry" blocked since Dec 2021) plus six
   // additional IPs (VPN providers, Google services) — §5.2.
-  policy_->block_ip(tor_node_->addr());
+  policy()->block_ip(tor_node_->addr());
   for (int i = 0; i < 6; ++i) {
     Ipv4Addr extra(Ipv4Addr(93, 184, 200, 10).value() + i);
-    policy_->block_ip(extra);
+    policy()->block_ip(extra);
     extra_blocked_ips_.push_back(extra);
   }
 
@@ -343,22 +295,12 @@ Scenario::Scenario(ScenarioConfig config)
         ispdpi::IspBlocklist::sample(registry, specs[i], rng));
     blocklists_.push_back(bl);
     netsim::Host* resolver = static_cast<netsim::Host*>(
-        &net_.node(net_.find_by_addr(vps_[i].resolver)));
+        &net().node(net().find_by_addr(vps_[i].resolver)));
     ispdpi::ResolverConfig rc;
     rc.blocklist = bl;
     rc.blockpage_ip = vps_[i].blockpage;
     rc.zone = [this](const std::string& name) { return corpus_.resolve(name); };
     ispdpi::attach_blockpage_resolver(*resolver, std::move(rc));
-  }
-
-  // ------------------------------------------------- injected faults
-  if (config.link_faults.any()) {
-    net_.set_default_link_faults(config.link_faults);
-  }
-  if (config.device_faults.any()) {
-    for (VantagePoint& v : vps_) {
-      for (core::Device* d : v.devices) d->set_fault_plan(config.device_faults);
-    }
   }
 
   // ------------------------------------------------- flood campaigns
@@ -367,9 +309,9 @@ Scenario::Scenario(ScenarioConfig config)
     // (no services, no RST-on-closed-port), so the only traffic a campaign
     // adds is the spoofed upstream packets crossing each ISP's devices.
     netsim::Host* sink = add_host("flood-sink", Ipv4Addr(198, 41, 0, 200));
-    net_.link(us_r, sink->id());
-    net_.routes(us_r).add(Ipv4Prefix(sink->addr(), 32), sink->id());
-    net_.routes(sink->id()).set_default(us_r);
+    net().link(us_r, sink->id());
+    net().routes(us_r).add(Ipv4Prefix(sink->addr(), 32), sink->id());
+    net().routes(sink->id()).set_default(us_r);
     sink->rst_on_closed_port = false;
     sink->set_capture_limit(0);
 
@@ -377,9 +319,9 @@ Scenario::Scenario(ScenarioConfig config)
       const FloodSite& site = flood_sites[i];
       netsim::Host* src =
           add_host(vps_[i].isp + "-flood", Ipv4Addr(site.base + 200));
-      net_.link(site.access, src->id());
-      net_.routes(site.access).add(Ipv4Prefix(src->addr(), 32), src->id());
-      net_.routes(src->id()).set_default(site.access);
+      net().link(site.access, src->id());
+      net().routes(site.access).add(Ipv4Prefix(src->addr(), 32), src->id());
+      net().routes(src->id()).set_default(site.access);
       src->rst_on_closed_port = false;
       src->set_capture_limit(0);
 
@@ -391,12 +333,7 @@ Scenario::Scenario(ScenarioConfig config)
         // those addresses.
         if (c.spoof_base.value() == 0) c.spoof_base = Ipv4Addr(site.base + 0x8000);
       }
-      flood_drivers_.push_back(
-          std::make_unique<netsim::FloodDriver>(*src, std::move(campaigns)));
-      // Construction-time arm off the config seed; begin_trial() re-arms
-      // off each item seed.
-      flood_drivers_.back()->arm(netsim::fault_stream_seed(
-          config.seed, kFloodStream, static_cast<std::uint32_t>(i)));
+      add_flood_driver(*src, std::move(campaigns));
     }
   }
 }
@@ -408,51 +345,6 @@ VantagePoint& Scenario::vp(const std::string& isp_name) {
   throw std::invalid_argument("no vantage point in ISP " + isp_name);
 }
 
-void Scenario::reseed_stochastic(std::uint64_t seed) {
-  util::Rng root(seed);
-  for (VantagePoint& v : vps_) {
-    for (core::Device* d : v.devices) d->reseed(root.next());
-  }
-  net_.seed_loss_rng(root.next());
-  // Rotates every per-link fault stream and re-anchors the flap/reboot epoch
-  // at the current instant; drawn last so the device/loss streams above keep
-  // their historical seeds.
-  net_.reseed_fault_rngs(root.next());
-}
-
-void Scenario::begin_trial(std::uint64_t item_seed) {
-  // Mute the quiesce (its event count depends on the shard's item history)
-  // and re-anchor trace timestamps at the trial start — see
-  // NationalTopology::begin_trial.
-  obs::MuteGuard mute;
-  net_.sim().run_until_idle();
-  net_.sim().run_for(util::Duration::seconds(1000));
-  reseed_stochastic(item_seed);
-  // Restart the flood campaigns with trial-local spoof streams; leftovers
-  // from the previous item already ran dry during the quiesce above.
-  for (std::size_t i = 0; i < flood_drivers_.size(); ++i) {
-    flood_drivers_[i]->arm(netsim::fault_stream_seed(
-        item_seed, kFloodStream, static_cast<std::uint32_t>(i)));
-  }
-  std::vector<netsim::Host*> hosts;
-  for (VantagePoint& v : vps_) hosts.push_back(v.host);
-  hosts.insert(hosts.end(), us_mm_.begin(), us_mm_.end());
-  hosts.push_back(us_raw_);
-  hosts.push_back(paris_mm_);
-  hosts.push_back(tor_node_);
-  for (netsim::Host* h : hosts) {
-    h->reset_traffic_state();
-    h->reset_protocol_counters();
-  }
-  // DNS transaction IDs are per-worker state; re-anchor them so the IDs a
-  // trial sees do not encode how many queries earlier items sent.
-  ispdpi::reset_dns_query_ids();
-  // Payload-buffer free lists are per-worker state too: purge them so a
-  // trial's allocator footprint never depends on what ran before it.
-  util::reset_buffer_pool();
-  obs::anchor_epoch(net_.now());
-}
-
 void Scenario::set_throttling_era(bool on) {
   // §5.2 SNI-III: hard throttling of twitter.com / fbcdn.net between Feb 26
   // and March 4, 2022, replaced by RST/ACK (SNI-I) afterwards. twitter.com
@@ -461,12 +353,12 @@ void Scenario::set_throttling_era(bool on) {
   twitter.throttle = on;
   twitter.rst_ack = !on;
   twitter.backup_drop = true;
-  policy_->add_sni("twitter.com", twitter);
+  policy()->add_sni("twitter.com", twitter);
 
   core::SniPolicy fbcdn;
   fbcdn.throttle = on;
   fbcdn.rst_ack = !on;
-  policy_->add_sni("fbcdn.net", fbcdn);
+  policy()->add_sni("fbcdn.net", fbcdn);
 }
 
 }  // namespace tspu::topo

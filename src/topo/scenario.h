@@ -21,9 +21,9 @@
 
 #include "ispdpi/blocklist.h"
 #include "netsim/host.h"
-#include "netsim/network.h"
 #include "netsim/router.h"
 #include "topo/corpus.h"
+#include "topo/world.h"
 #include "tspu/device.h"
 
 namespace tspu::topo {
@@ -40,7 +40,7 @@ struct VantagePoint {
   int symmetric_devices = 0;
 };
 
-struct ScenarioConfig {
+struct ScenarioConfig : DeploymentConfig {
   CorpusConfig corpus;
   std::uint64_t seed = 7;
   /// True models Feb 26 - Mar 4, 2022: twitter.com / fbcdn.net throttled
@@ -53,37 +53,15 @@ struct ScenarioConfig {
   /// §8 "patch" capabilities applied to every device in the deployment
   /// (all off = the device as observed in 2022).
   core::DeviceCapabilities capabilities;
-  /// When non-empty, installed as the network-wide default link fault plan
-  /// (netsim/faults.h): bursty loss, duplication, reordering, corruption,
-  /// jitter, flap windows. Streams are rotated by begin_trial().
-  netsim::LinkFaultPlan link_faults;
-  /// When non-empty, installed on every TSPU device: fail-open/fail-closed
-  /// outage windows and mid-flow reboots relative to each trial's epoch.
-  netsim::DeviceFaultPlan device_faults;
-  /// Conntrack capacity budget applied to every device. Default unbounded —
-  /// byte-identical to the pre-budget deployment.
-  core::TableBudget conn_budget;
-  /// Fragment-engine capacity budget applied to every device.
-  core::TableBudget frag_budget;
-  /// Overload policy (fail-open/fail-closed + hysteresis band) applied to
-  /// every device; consulted only when a bounded table rejects admission.
-  core::OverloadPolicy overload;
-  /// Background flood campaigns: each vantage-point ISP gets a dedicated
-  /// in-network flood source whose spoofed packets cross that ISP's devices
-  /// upstream toward a silent sink abroad. Re-armed (fresh spoof streams)
-  /// by every begin_trial(), so flooded scans stay job-count invariant.
-  std::vector<netsim::FloodCampaign> floods;
+  // The inherited `floods` give each vantage-point ISP a dedicated
+  // in-network flood source whose spoofed packets cross that ISP's devices
+  // upstream toward a silent sink abroad.
 };
 
-class Scenario {
+class Scenario : public World {
  public:
   explicit Scenario(ScenarioConfig config = {});
 
-  Scenario(const Scenario&) = delete;
-  Scenario& operator=(const Scenario&) = delete;
-
-  netsim::Network& net() { return net_; }
-  core::PolicyPtr policy() { return policy_; }
   const DomainCorpus& corpus() const { return corpus_; }
 
   std::vector<VantagePoint>& vantage_points() { return vps_; }
@@ -108,33 +86,7 @@ class Scenario {
   /// the Feb 26 - Mar 4 era) and RST/ACK (SNI-I, March 4 onward).
   void set_throttling_era(bool on);
 
-  /// Drains all in-flight events.
-  void settle() { net_.sim().run_until_idle(); }
-
-  /// Background flood drivers, one per vantage-point ISP (empty unless
-  /// config.floods was set).
-  const std::vector<std::unique_ptr<netsim::FloodDriver>>& flood_drivers()
-      const {
-    return flood_drivers_;
-  }
-
-  /// Reseeds every TSPU device's failure RNG from one root seed (forked per
-  /// device, in vantage-point order).
-  void reseed_stochastic(std::uint64_t seed);
-
-  /// Isolates the next work item: drains and advances the virtual clock far
-  /// past every device timeout so earlier items' conntrack/blocking state
-  /// lazily expires, reseeds the devices from `item_seed`, and resets every
-  /// measurement host's captures, flows, and protocol counters. See
-  /// NationalTopology::begin_trial for the determinism contract.
-  void begin_trial(std::uint64_t item_seed);
-
  private:
-  netsim::NodeId add_router(const std::string& name, util::Ipv4Addr addr);
-  netsim::Host* add_host(const std::string& name, util::Ipv4Addr addr);
-
-  netsim::Network net_;
-  core::PolicyPtr policy_;
   DomainCorpus corpus_;
   std::vector<VantagePoint> vps_;
   std::vector<netsim::Host*> us_mm_;
@@ -143,7 +95,6 @@ class Scenario {
   netsim::Host* tor_node_ = nullptr;
   std::vector<util::Ipv4Addr> extra_blocked_ips_;
   std::vector<std::shared_ptr<ispdpi::IspBlocklist>> blocklists_;
-  std::vector<std::unique_ptr<netsim::FloodDriver>> flood_drivers_;
 };
 
 }  // namespace tspu::topo

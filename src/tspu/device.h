@@ -141,13 +141,6 @@ class Device : public netsim::Middlebox {
   /// windows — depend only on the item's own seed, never on earlier items.
   void reseed(std::uint64_t seed);
 
-  /// Installs (or replaces) this device's fault plan; windows stay relative
-  /// to the last reseed() epoch.
-  void set_fault_plan(netsim::DeviceFaultPlan plan) {
-    config_.faults = std::move(plan);
-  }
-  const netsim::DeviceFaultPlan& fault_plan() const { return config_.faults; }
-
   const DeviceStats& stats() const { return stats_; }
   const FragEngineStats& frag_stats() const { return frag_engine_.stats(); }
   const Policy& policy() const { return *policy_; }

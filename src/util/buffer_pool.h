@@ -7,9 +7,10 @@
 // instead of round-tripping the heap. Determinism is free: an allocator can
 // change WHERE bytes live but never WHICH bytes a trial computes, and the
 // caches are thread-local so shard workers never share state. The lists are
-// purged by reset_buffer_pool() from the trial-isolation path (begin_trial),
-// the same lifecycle rule every other per-replica cache follows — a trial's
-// memory footprint therefore never depends on what ran before it.
+// purged by reset_buffer_pool() from the trial-isolation path
+// (topo::World::begin_trial), the same lifecycle rule every other
+// per-replica cache follows — a trial's memory footprint therefore never
+// depends on what ran before it.
 #pragma once
 
 #include <cstddef>
@@ -122,12 +123,12 @@ class BufferPool {
 
 /// Per-worker payload-buffer cache. thread_local keeps shard workers from
 /// sharing free lists; reset_buffer_pool() purges it from the trial
-/// isolation path (Scenario/NationalTopology::begin_trial) so a trial's
-/// allocator state depends only on that trial, never on shard assignment.
+/// isolation path (topo::World::begin_trial) so a trial's allocator state
+/// depends only on that trial, never on shard assignment.
 inline thread_local BufferPool tl_buffer_pool;
 
 /// Re-anchors this worker's buffer pool; called from begin_trial alongside
-/// the other per-replica resets (DNS ids, host counters, obs epoch).
+/// the other per-replica resets (hosts, DNS ids, fresh ports, obs epoch).
 inline void reset_buffer_pool() { tl_buffer_pool.purge(); }
 
 /// Minimal allocator adapter over the thread-local pool. Stateless and

@@ -284,7 +284,6 @@ TEST(DeviceFaults, FailOpenForwardsTriggersUninspected) {
   plan.reboot_on_recovery = false;
   topo::Scenario scenario(scenario_config(plan));
   scenario.begin_trial(7);
-  measure::reset_fresh_port();
 
   auto& vp = scenario.vp("ER-Telecom");
   const auto r = measure::test_sni(scenario.net(), *vp.host,
@@ -301,7 +300,6 @@ TEST(DeviceFaults, FailClosedKillsThePath) {
   plan.flaps = {{Duration::millis(0), Duration::seconds(60)}};
   topo::Scenario scenario(scenario_config(plan));
   scenario.begin_trial(7);
-  measure::reset_fresh_port();
 
   auto& vp = scenario.vp("ER-Telecom");
   const auto r = measure::test_sni(scenario.net(), *vp.host,
@@ -317,7 +315,6 @@ TEST(DeviceFaults, CensorshipResumesAfterFlapWindow) {
   plan.flaps = {{Duration::millis(0), Duration::millis(50)}};
   topo::Scenario scenario(scenario_config(plan));
   scenario.begin_trial(7);
-  measure::reset_fresh_port();
 
   scenario.net().sim().run_for(Duration::millis(60));  // past the window
   auto& vp = scenario.vp("ER-Telecom");
@@ -339,7 +336,6 @@ TEST(DeviceFaults, RebootWipesConntrackMidFlow) {
   {
     topo::Scenario scenario(scenario_config());
     scenario.begin_trial(11);
-    measure::reset_fresh_port();
     measure::RawFlow flow(scenario.net(), *scenario.vp("ER-Telecom").host,
                           scenario.us_raw_machine(), measure::fresh_port());
     flow.play("Rs", sni);
@@ -359,7 +355,6 @@ TEST(DeviceFaults, RebootWipesConntrackMidFlow) {
     plan.reboots = {Duration::seconds(1)};
     topo::Scenario scenario(scenario_config(plan));
     scenario.begin_trial(11);
-    measure::reset_fresh_port();
     auto& vp = scenario.vp("ER-Telecom");
     measure::RawFlow flow(scenario.net(), *vp.host,
                           scenario.us_raw_machine(), measure::fresh_port());

@@ -3,22 +3,28 @@
 // scaled-down Figure-9 scan and a Figure-6-style domain sweep at jobs=1 and
 // jobs=4 and compares digests of the full serialized outcome — any
 // divergence (scheduling leak, shared RNG draw, residual per-shard state)
-// fails loudly here instead of silently skewing a paper figure.
+// fails loudly here instead of silently skewing a paper figure. The
+// ScheduleIsolation tests check the contract underneath: on one replica, an
+// item's output does not depend on which items ran before it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ispdpi/resolver.h"
 #include "measure/common.h"
 #include "measure/domain_tester.h"
 #include "measure/scan.h"
 #include "netsim/faults.h"
+#include "obs/obs.h"
 #include "runner/runner.h"
 #include "topo/national.h"
 #include "topo/scenario.h"
+#include "util/rng.h"
 
 namespace tspu {
 namespace {
@@ -148,7 +154,6 @@ std::string run_domain_sweep(int jobs) {
       },
       [&tc](Ctx& ctx, std::size_t i) {
         ctx.scenario->begin_trial(runner::item_seed(0xd0d0, i));
-        measure::reset_fresh_port();
         return ctx.tester->test_domain(ctx.scenario->corpus().domains()[i],
                                        tc);
       });
@@ -191,7 +196,6 @@ std::string run_resolver_sweep(int jobs) {
       [&cfg](int) { return std::make_unique<topo::Scenario>(cfg); },
       [](std::unique_ptr<topo::Scenario>& sc, std::size_t i) {
         sc->begin_trial(runner::item_seed(0xd15, i));
-        measure::reset_fresh_port();
         const std::string& domain = sc->corpus().domains()[i].name;
         topo::VantagePoint& vp = sc->vantage_points().front();
         const std::uint16_t qid = ispdpi::send_dns_query(
@@ -215,6 +219,151 @@ TEST(RunnerDeterminism, ResolverSweepQueryIdsAreJobCountInvariant) {
   ASSERT_FALSE(one.empty());
   EXPECT_EQ(fnv1a(one), fnv1a(four));
   EXPECT_EQ(one, four);
+}
+
+// ------------------------------------------------- schedule permutation
+//
+// jobs=1 against jobs=4 compares two fixed partitions of the items. The
+// stronger form of the isolation contract: n items run in index order on
+// one replica, then in a seeded shuffled order on a fresh replica, must
+// agree on every result and on the recorder's metrics JSON and trace JSONL.
+// Each item runs the way the shard runner runs it (begin_item, begin_trial,
+// the item), so any difference is state that begin_trial failed to reset.
+
+struct ScheduleRun {
+  std::vector<std::string> results;  ///< by item index
+  std::string metrics_json;
+  std::string trace_jsonl;
+};
+
+template <typename Replica, typename Item>
+ScheduleRun run_schedule(Replica& world, const std::vector<std::size_t>& order,
+                         const Item& item) {
+  obs::TraceConfig tc;
+  tc.enabled = true;
+  tc.per_item_cap = 4096;
+  obs::Recorder rec(tc);
+  ScheduleRun run;
+  run.results.resize(order.size());
+  {
+    obs::RecorderScope scope(rec);
+    for (std::size_t i : order) {
+      obs::begin_item(i);
+      world.begin_trial(runner::item_seed(0x9e37, i));
+      run.results[i] = item(world, i);
+    }
+  }
+  run.metrics_json = rec.metrics.to_json();
+  run.trace_jsonl = rec.trace.to_jsonl();
+  return run;
+}
+
+/// The first line at which two dumps differ, for a readable failure.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream in_a(a), in_b(b);
+  for (std::size_t line = 1;; ++line) {
+    std::string la, lb;
+    const bool more_a = static_cast<bool>(std::getline(in_a, la));
+    const bool more_b = static_cast<bool>(std::getline(in_b, lb));
+    if (!more_a && !more_b) return "none";
+    if (la != lb || more_a != more_b) {
+      return "line " + std::to_string(line) + ":\n  in order: " + la +
+             "\n  shuffled: " + lb;
+    }
+  }
+}
+
+template <typename MakeWorld, typename Item>
+void expect_schedule_invariant(std::size_t n, const MakeWorld& make_world,
+                               const Item& item) {
+  std::vector<std::size_t> in_order(n);
+  std::iota(in_order.begin(), in_order.end(), std::size_t{0});
+  std::vector<std::size_t> shuffled = in_order;
+  util::Rng(0x5c4ed).shuffle(shuffled);
+  ASSERT_NE(shuffled, in_order);
+
+  auto first = make_world();
+  const ScheduleRun ordered = run_schedule(*first, in_order, item);
+  auto second = make_world();
+  const ScheduleRun permuted = run_schedule(*second, shuffled, item);
+
+  ASSERT_FALSE(ordered.trace_jsonl.empty());
+  EXPECT_EQ(ordered.results, permuted.results);
+  EXPECT_TRUE(ordered.metrics_json == permuted.metrics_json)
+      << first_difference(ordered.metrics_json, permuted.metrics_json);
+  EXPECT_TRUE(ordered.trace_jsonl == permuted.trace_jsonl)
+      << first_difference(ordered.trace_jsonl, permuted.trace_jsonl);
+}
+
+// Domain sweep with DNS and the SNI-IV probe: every item talks to the ISP
+// resolvers and both US machines, from every vantage point, through
+// stochastic devices.
+TEST(ScheduleIsolation, ScenarioDomainSweepIgnoresItemOrder) {
+  topo::ScenarioConfig cfg;
+  cfg.corpus.scale = 0.05;
+  topo::Scenario scout(cfg);
+  std::vector<const topo::DomainInfo*> domains;
+  const auto& corpus = scout.corpus().domains();
+  for (std::size_t i = 0; i < corpus.size(); i += 7) {
+    domains.push_back(&corpus[i]);
+  }
+
+  measure::DomainTestConfig tc;
+  tc.run_dns = true;
+  tc.probe_sni_iv = true;
+  expect_schedule_invariant(
+      domains.size(), [&cfg] { return std::make_unique<topo::Scenario>(cfg); },
+      [&](topo::Scenario& sc, std::size_t i) {
+        measure::DomainTester tester(sc);
+        const measure::DomainVerdict v = tester.test_domain(*domains[i], tc);
+        std::ostringstream out;
+        out << v.domain << '=';
+        for (measure::SniOutcome o : v.tspu) out << static_cast<int>(o) << ',';
+        for (bool b : v.isp_blockpage) out << b;
+        return out.str();
+      });
+}
+
+// National scan under bursty link loss and a SYN flood: a retried fragment
+// fingerprint plus frag-TTL localization per endpoint.
+TEST(ScheduleIsolation, NationalFaultedFloodedScanIgnoresItemOrder) {
+  topo::NationalConfig cfg;
+  cfg.endpoint_scale = 0.0005;
+  cfg.n_ases = 60;
+  cfg.link_faults.burst = netsim::GilbertElliott::bursty(0.02, 8.0);
+  cfg.link_faults.burst.relax_steps_per_second = 1000.0;
+  netsim::FloodCampaign syn;
+  syn.kind = netsim::FloodKind::kSynFlood;
+  syn.duration = util::Duration::millis(500);
+  syn.packets_per_burst = 8;
+  syn.burst_interval = util::Duration::millis(50);
+  cfg.floods = {syn};
+
+  topo::NationalTopology scout(cfg);
+  std::vector<std::size_t> endpoints;
+  for (std::size_t i = 0; i < scout.endpoints().size(); i += 40) {
+    endpoints.push_back(i);
+  }
+
+  const measure::RetryPolicy policy;
+  expect_schedule_invariant(
+      endpoints.size(),
+      [&cfg] { return std::make_unique<topo::NationalTopology>(cfg); },
+      [&](topo::NationalTopology& topo, std::size_t i) {
+        const topo::Endpoint& ep = topo.endpoints()[endpoints[i]];
+        const measure::FragFingerprintVerdict fv =
+            measure::probe_fragment_limit_retry(topo.net(), topo.prober(),
+                                                ep.addr, ep.port, policy);
+        const measure::FragLocalizeResult loc = measure::locate_by_fragments(
+            topo.net(), topo.prober(), ep.addr, ep.port, /*max_ttl=*/24,
+            &policy);
+        std::ostringstream out;
+        out << ep.addr.value() << ':' << static_cast<int>(fv.verdict) << ','
+            << fv.tspu_like << ',' << fv.attempts << '|'
+            << loc.min_working_ttl.value_or(-1) << ',' << loc.path_hops
+            << ',' << loc.device_hops_from_destination.value_or(-1);
+        return out.str();
+      });
 }
 
 }  // namespace
