@@ -3,7 +3,9 @@
 // the expense of being less able to pool resources". This bench measures
 // the device's conntrack table size under a connection churn workload with
 // the TSPU's measured timeouts vs Linux-like timeouts, and the price of the
-// short timeouts: the wait-out-SYN-SENT evasion.
+// short timeouts: the wait-out-SYN-SENT evasion. Its state-exhaustion sweep
+// writes BENCH_ablation_conntrack_memory.json: per sweep row, the raw and
+// retried verdicts for both SNIs and the rejected-packet count.
 #include <optional>
 
 #include "bench_common.h"
@@ -70,6 +72,8 @@ std::size_t table_size_after_churn(core::ConntrackTimeouts timeouts,
 }  // namespace
 
 int main() {
+  tspu::bench::ScopedRecorder obs_recorder;
+  bench::BenchReport report("ablation_conntrack_memory");
   bench::banner("Ablation", "Conntrack memory: TSPU timeouts vs Linux-like");
 
   const int flows = bench::env_int("TSPU_BENCH_CHURN_FLOWS", 3000);
@@ -174,17 +178,37 @@ int main() {
           return std::string(v.observation ? "confirmed blocked"
                                            : "confirmed clean");
         };
+        // Headline code of a retried verdict: 0 confirmed clean, 1 confirmed
+        // blocked, 2 inconclusive, 3 unreachable.
+        auto verdict_code = [](const measure::ProbeVerdict& v) {
+          return v.verdict == measure::Verdict::kConfirmed
+                     ? static_cast<int>(v.observation)
+                     : 1 + static_cast<int>(v.verdict);
+        };
 
         const core::DeviceStats& ds = vp.devices[0]->stats();
-        ex.row({mode == netsim::DeviceFailMode::kFailOpen ? "fail-open"
-                                                          : "fail-closed",
+        const bool fail_open = mode == netsim::DeviceFailMode::kFailOpen;
+        const std::uint64_t rejected =
+            ds.overload_forwarded + ds.overload_dropped;
+        ex.row({fail_open ? "fail-open" : "fail-closed",
                 std::to_string(budget),
                 std::to_string(burst * 20),  // bursts every 50 ms
                 raw_blocked_ok ? "allowed (FALSE-ALLOW)" : "blocked",
                 verdict_cell(vb),
                 raw_clean_ok ? "allowed" : "blocked (FALSE-BLOCK)",
                 verdict_cell(vc),
-                std::to_string(ds.overload_forwarded + ds.overload_dropped)});
+                std::to_string(rejected)});
+        const std::string row =
+            std::string(fail_open ? "fail_open." : "fail_closed.") +
+            std::to_string(budget) + "." + std::to_string(burst * 20) + ".";
+        report.metric(row + "blocked_raw_allowed",
+                      static_cast<int>(raw_blocked_ok));
+        report.metric(row + "blocked_retried", verdict_code(vb));
+        report.metric(row + "clean_raw_allowed",
+                      static_cast<int>(raw_clean_ok));
+        report.metric(row + "clean_retried", verdict_code(vc));
+        report.metric(row + "rejected_pkts",
+                      static_cast<std::size_t>(rejected));
       }
     }
   }
@@ -192,5 +216,6 @@ int main() {
   bench::note("a saturated RejectNew table forges one side of the answer; "
               "raw single probes confirm the forgery, retries spaced past "
               "the entry expiry degrade it to Inconclusive.");
+  report.write();
   return 0;
 }
