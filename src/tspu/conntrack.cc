@@ -1,6 +1,5 @@
 #include "tspu/conntrack.h"
 
-#include <iterator>
 #include <utility>
 
 #include "obs/obs.h"
@@ -42,42 +41,16 @@ void note_transition(const FlowKey& key, const ConnEntry& e,
 
 }  // namespace
 
-void ConnTracker::set_budget(TableBudget budget, OverloadPolicy overload) {
-  budget_ = budget;
-  overload_ = overload;
-  overload_state_.reset();
-}
-
 void ConnTracker::note_occupancy(util::Instant now) {
   // Everything here is gated on bounded(): an unbounded tracker must keep
   // its obs output byte-identical to the pre-budget device.
-  if (!budget_.bounded()) return;
+  if (!guard_.bounded()) return;
   // Reconcile lazy expiry first: the gauge and the overload latch must
   // never observe entries that are already past their timeout but unswept,
   // or a burst of long-dead flows could latch `overload.enter` (and reject
   // admissions) on a table that is actually near-empty.
   sweep_expired(now);
-  if (obs::Recorder* rec = obs::recorder()) {
-    rec->metrics.gauge("tspu.conntrack.occupancy")
-        .set_max(static_cast<std::int64_t>(table_.size()));
-  }
-  if (overload_state_.update(table_.size(), budget_.max_entries, overload_)) {
-    const std::string detail = std::to_string(table_.size()) + "/" +
-                               std::to_string(budget_.max_entries);
-    if (overload_state_.overloaded()) {
-      TSPU_OBS_COUNT("tspu.conntrack.overload.enter");
-      if (obs::tracing()) {
-        obs::trace_event(obs::Layer::kConntrack, "overload.enter", now, {},
-                         detail);
-      }
-    } else {
-      TSPU_OBS_COUNT("tspu.conntrack.overload.exit");
-      if (obs::tracing()) {
-        obs::trace_event(obs::Layer::kConntrack, "overload.exit", now, {},
-                         detail);
-      }
-    }
-  }
+  guard_.publish(table_.size(), now);
 }
 
 void ConnTracker::evict(Table::iterator it, util::Instant now,
@@ -96,48 +69,35 @@ void ConnTracker::evict(Table::iterator it, util::Instant now,
 }
 
 bool ConnTracker::make_room(util::Instant now) {
-  if (budget_.max_entries == 0) return true;
+  const TableBudget& budget = guard_.budget();
+  if (budget.max_entries == 0) return true;
   // Reclaim lazily-expired entries and re-evaluate the hysteresis latch
   // BEFORE any admission decision — not just at capacity. A latch set by
   // entries that have since expired must exit here rather than reject new
   // flows against dead state (shrink-only workloads previously never
   // re-evaluated it and stayed overloaded forever).
   live_entries(now);
-  if (budget_.policy == EvictionPolicy::kRejectNew) {
+  if (budget.policy == EvictionPolicy::kRejectNew) {
     // Reject while the hysteresis latch is set (it enters at the
     // high-water fraction and exits at the low-water one), and always
     // reject when genuinely full — occupancy may never exceed the budget.
-    if (overload_state_.overloaded() ||
-        table_.size() >= budget_.max_entries) {
-      TSPU_OBS_COUNT("tspu.conntrack.rejected");
-      if (obs::tracing()) {
-        obs::trace_event(obs::Layer::kConntrack, "conn.reject", now, {},
-                         std::to_string(table_.size()) + "/" +
-                             std::to_string(budget_.max_entries));
-      }
+    if (guard_.overloaded() || table_.size() >= budget.max_entries) {
+      guard_.reject(now, table_.size());
       return false;
     }
     return true;
   }
-  while (table_.size() >= budget_.max_entries) {
-    if (budget_.policy == EvictionPolicy::kEvictRandom) {
-      auto it = table_.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(evict_rng_.next() %
-                                                   table_.size()));
-      evict(it, now, "random");
-    } else {
-      auto victim = table_.begin();
-      for (auto it = std::next(table_.begin()); it != table_.end(); ++it) {
-        if (it->second.last_update < victim->second.last_update) victim = it;
-      }
-      evict(victim, now, "oldest");
-    }
+  const char* reason =
+      budget.policy == EvictionPolicy::kEvictRandom ? "random" : "oldest";
+  while (table_.size() >= budget.max_entries) {
+    evict(guard_.victim(table_, &ConnEntry::last_update), now, reason);
   }
   return true;
 }
 
 bool ConnTracker::charge_stream(std::size_t add) {
-  if (budget_.max_bytes != 0 && stream_bytes_ + add > budget_.max_bytes) {
+  const std::size_t max_bytes = guard_.budget().max_bytes;
+  if (max_bytes != 0 && stream_bytes_ + add > max_bytes) {
     TSPU_OBS_COUNT("tspu.conntrack.stream_rejected");
     return false;
   }
@@ -159,17 +119,7 @@ void ConnTracker::audit(util::Instant now) const {
   // resumes where the previous call stopped; every entry is still audited
   // once every ceil(size / kAuditSlice) events.
   constexpr std::size_t kAuditSlice = 16;
-  // Budget invariants: admission control runs before every insert and
-  // erases only shrink the table, so occupancy can never exceed the
-  // budget after ANY sim event; same for the reassembly byte footprint.
-  if (budget_.max_entries != 0) {
-    TSPU_AUDIT(table_.size() <= budget_.max_entries,
-               "conntrack occupancy exceeds the entry budget");
-  }
-  if (budget_.max_bytes != 0) {
-    TSPU_AUDIT(stream_bytes_ <= budget_.max_bytes,
-               "reassembled stream bytes exceed the byte budget");
-  }
+  guard_.audit(table_.size(), stream_bytes_);
   auto it = table_.lower_bound(audit_cursor_);
   for (std::size_t n = 0; n < kAuditSlice && !table_.empty(); ++n) {
     if (it == table_.end()) it = table_.begin();
@@ -303,7 +253,7 @@ ConnEntry* ConnTracker::admit_tcp(const FlowKey& key, wire::TcpFlags flags,
                        flow_str(key), "lazy");
     }
     stream_bytes_ -= it->second.upstream_stream.size();
-    if (!budget_.bounded()) {
+    if (!guard_.bounded()) {
       // Unbounded table: the fresh entry below is guaranteed admission at
       // this exact key and note_occupancy is a no-op, so the node is reused
       // in place — no erase/insert rebalance and no allocator round-trip.
@@ -342,7 +292,7 @@ ConnEntry* ConnTracker::admit_tcp(const FlowKey& key, wire::TcpFlags flags,
     if (reuse != nullptr) {
       *reuse = std::move(fresh);
       created = reuse;
-    } else if (!budget_.bounded()) {
+    } else if (!guard_.bounded()) {
       // Unbounded table: make_room is a no-op and cannot invalidate the
       // hint, so the insert reuses the lower_bound position directly.
       created = &table_.emplace_hint(it, key, std::move(fresh))->second;

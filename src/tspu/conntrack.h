@@ -21,7 +21,6 @@
 #include "tspu/timeouts.h"
 #include "util/flat_map.h"
 #include "util/ip.h"
-#include "util/rng.h"
 #include "util/time.h"
 #include "wire/ipv4.h"
 #include "wire/tcp.h"
@@ -156,29 +155,25 @@ class ConnTracker {
   /// `strict_roles` models the §8 patch "handling Simultaneous Open or Split
   /// Handshake simply requires reasoning about the roles of Client and
   /// Server in a more ad-hoc way": a local SYN/ACK answering a remote SYN
-  /// no longer flips the roles.
+  /// no longer flips the roles. `budget` caps the table (max_entries) and
+  /// the device-wide reassembled stream footprint (max_bytes, see
+  /// charge_stream); `overload` carries the hysteresis band; `evict_seed`
+  /// starts the kEvictRandom stream.
   explicit ConnTracker(ConntrackTimeouts timeouts, BlockingTimeouts blocking,
-                       bool strict_roles = false)
-      : timeouts_(timeouts), blocking_(blocking), strict_roles_(strict_roles) {}
-
-  /// Installs (or replaces) the capacity budget and the overload policy's
-  /// hysteresis band. max_entries caps the table; max_bytes caps the
-  /// device-wide reassembled stream footprint (charge_stream). Defined
-  /// out-of-line so the budget/gauge pairing is visible to tspulint.
-  void set_budget(TableBudget budget, OverloadPolicy overload);
-  const TableBudget& budget() const { return budget_; }
+                       bool strict_roles = false, TableBudget budget = {},
+                       OverloadPolicy overload = {},
+                       std::uint64_t evict_seed = 0xb06d0ull)
+      : timeouts_(timeouts), blocking_(blocking), strict_roles_(strict_roles),
+        guard_(obs::Layer::kConntrack, budget, overload, evict_seed) {}
 
   /// Reseeds the eviction RNG stream and drops the overload latch. Called
   /// by Device::reseed at trial boundaries (stateless splitmix64-derived
   /// seed) so eviction choices depend only on the item's own seed.
-  void reseed_eviction(std::uint64_t seed) {
-    evict_rng_.reseed(seed);
-    overload_state_.reset();
-  }
+  void reseed_eviction(std::uint64_t seed) { guard_.reseed(seed); }
 
   /// True while the RejectNew hysteresis latch is set (budgeted tables
   /// only); the device consults this for its fail-open/fail-closed action.
-  bool overloaded() const { return overload_state_.overloaded(); }
+  bool overloaded() const { return guard_.overloaded(); }
 
   /// Observes a TCP packet and returns the (created/updated) entry after
   /// applying state transitions and expiry. `from_local` = packet travels
@@ -251,19 +246,14 @@ class ConnTracker {
   bool make_room(util::Instant now);
   /// Erases one entry as an eviction (counted + traced with `reason`).
   void evict(Table::iterator it, util::Instant now, const char* reason);
-  /// Publishes the occupancy gauge and drives the overload hysteresis
-  /// latch; called after every occupancy change on a budgeted table.
+  /// Sweeps, then publishes occupancy through the budget guard; called
+  /// after every occupancy change on a budgeted table.
   void note_occupancy(util::Instant now);
 
   ConntrackTimeouts timeouts_;
   BlockingTimeouts blocking_;
   bool strict_roles_ = false;
-  TableBudget budget_;
-  OverloadPolicy overload_;
-  OverloadState overload_state_;
-  /// Eviction choices for kEvictRandom; reseeded per trial via
-  /// reseed_eviction so draws never leak across work items.
-  util::Rng evict_rng_{0xb06d0ull};
+  BudgetGuard guard_;
   /// Device-wide reassembled stream bytes currently buffered (the TCP
   /// reassembly footprint the byte budget polices).
   std::size_t stream_bytes_ = 0;

@@ -140,25 +140,35 @@ namespace {
 constexpr std::uint32_t kConnEvictStream = 0xc077u;
 constexpr std::uint32_t kFragEvictStream = 0xf2a6u;
 
+/// The device's tables as provisioned by `c`, with the eviction streams of
+/// reboot `generation` (0 for a fresh device) of the reseed `seed`.
+ConnTracker provisioned_conntrack(const DeviceConfig& c, std::uint64_t seed,
+                                  std::uint32_t generation) {
+  return ConnTracker(
+      c.conn_timeouts, c.block_timeouts, c.capabilities.strict_role_inference,
+      c.conn_budget, c.overload,
+      netsim::fault_stream_seed(seed, kConnEvictStream, generation));
+}
+
+FragmentEngine provisioned_frag_engine(const DeviceConfig& c,
+                                       std::uint64_t seed,
+                                       std::uint32_t generation) {
+  return FragmentEngine(
+      c.frag, c.frag_budget, c.overload,
+      netsim::fault_stream_seed(seed, kFragEvictStream, generation));
+}
+
 }  // namespace
 
 Device::Device(std::string name, PolicyPtr policy, DeviceConfig config)
     : Middlebox(std::move(name)),
       policy_(std::move(policy)),
       config_(config),
-      conntrack_(config.conn_timeouts, config.block_timeouts,
-                 config.capabilities.strict_role_inference),
-      frag_engine_(config.frag),
+      conntrack_(provisioned_conntrack(config, config.seed, 0)),
+      frag_engine_(provisioned_frag_engine(config, config.seed, 0)),
       inspect_reasm_(wire::ReassemblyConfig{}),
       rng_(config.seed),
-      reseed_seed_(config.seed) {
-  conntrack_.set_budget(config_.conn_budget, config_.overload);
-  frag_engine_.set_budget(config_.frag_budget, config_.overload);
-  conntrack_.reseed_eviction(
-      netsim::fault_stream_seed(reseed_seed_, kConnEvictStream, 0));
-  frag_engine_.reseed_eviction(
-      netsim::fault_stream_seed(reseed_seed_, kFragEvictStream, 0));
-}
+      reseed_seed_(config.seed) {}
 
 void Device::audit_state(util::Instant now) const {
   frag_engine_.audit(now);
@@ -191,20 +201,12 @@ void Device::reseed(std::uint64_t seed) {
 }
 
 void Device::wipe_state() {
-  conntrack_ = ConnTracker(config_.conn_timeouts, config_.block_timeouts,
-                           config_.capabilities.strict_role_inference);
-  frag_engine_ = FragmentEngine(config_.frag);
-  inspect_reasm_ = wire::Reassembler(wire::ReassemblyConfig{});
   // A reboot loses flow state, not provisioning: budgets survive, and the
   // eviction streams restart on a per-reboot generation of the item seed.
-  conntrack_.set_budget(config_.conn_budget, config_.overload);
-  frag_engine_.set_budget(config_.frag_budget, config_.overload);
-  const std::uint32_t generation =
-      static_cast<std::uint32_t>(reboots_applied_ + 1);
-  conntrack_.reseed_eviction(
-      netsim::fault_stream_seed(reseed_seed_, kConnEvictStream, generation));
-  frag_engine_.reseed_eviction(
-      netsim::fault_stream_seed(reseed_seed_, kFragEvictStream, generation));
+  const auto generation = static_cast<std::uint32_t>(reboots_applied_ + 1);
+  conntrack_ = provisioned_conntrack(config_, reseed_seed_, generation);
+  frag_engine_ = provisioned_frag_engine(config_, reseed_seed_, generation);
+  inspect_reasm_ = wire::Reassembler(wire::ReassemblyConfig{});
   ++stats_.fault_reboots;
   TSPU_OBS_COUNT("tspu.fault.reboot");
   if (obs::tracing()) {

@@ -1,7 +1,6 @@
 #include "tspu/frag_engine.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "obs/obs.h"
@@ -17,16 +16,10 @@ std::string frag_flow_str(const wire::FragmentKey& key) {
 
 }  // namespace
 
-void FragmentEngine::set_budget(TableBudget budget, OverloadPolicy overload) {
-  budget_ = budget;
-  overload_ = overload;
-  overload_state_.reset();
-}
-
 void FragmentEngine::note_occupancy(util::Instant now) {
   // Gated on bounded(): an unbounded engine keeps its obs output
   // byte-identical to the pre-budget device.
-  if (!budget_.bounded()) return;
+  if (!guard_.bounded()) return;
   // Reconcile lazy expiry before reading occupancy: queues past the timeout
   // but not yet swept must not inflate the gauge or latch overload.enter on
   // dead state. Recursion bottoms out — expire() recomputes oldest_started_
@@ -34,39 +27,15 @@ void FragmentEngine::note_occupancy(util::Instant now) {
   if (oldest_started_ && now - *oldest_started_ > cfg_.queue_timeout) {
     expire(now);
   }
+  guard_.publish(queues_.size(), now);
   if (obs::Recorder* rec = obs::recorder()) {
-    rec->metrics.gauge("tspu.frag.occupancy")
-        .set_max(static_cast<std::int64_t>(queues_.size()));
     rec->metrics.gauge("tspu.frag.buffered_bytes")
         .set_max(static_cast<std::int64_t>(buffered_bytes_));
-  }
-  if (overload_state_.update(queues_.size(), budget_.max_entries, overload_)) {
-    const std::string detail = std::to_string(queues_.size()) + "/" +
-                               std::to_string(budget_.max_entries);
-    if (overload_state_.overloaded()) {
-      TSPU_OBS_COUNT("tspu.frag.overload.enter");
-      if (obs::tracing()) {
-        obs::trace_event(obs::Layer::kFrag, "overload.enter", now, {}, detail);
-      }
-    } else {
-      TSPU_OBS_COUNT("tspu.frag.overload.exit");
-      if (obs::tracing()) {
-        obs::trace_event(obs::Layer::kFrag, "overload.exit", now, {}, detail);
-      }
-    }
   }
 }
 
 void FragmentEngine::evict_one(util::Instant now, const char* reason) {
-  auto victim = queues_.begin();
-  if (budget_.policy == EvictionPolicy::kEvictRandom) {
-    std::advance(victim, static_cast<std::ptrdiff_t>(evict_rng_.next() %
-                                                     queues_.size()));
-  } else {
-    for (auto it = std::next(queues_.begin()); it != queues_.end(); ++it) {
-      if (it->second.started < victim->second.started) victim = it;
-    }
-  }
+  const auto victim = guard_.victim(queues_, &Queue::started);
   buffered_bytes_ -= victim->second.bytes;
   ++stats_.queues_evicted;
   TSPU_OBS_COUNT("tspu.frag.evicted");
@@ -83,55 +52,48 @@ void FragmentEngine::evict_one(util::Instant now, const char* reason) {
 
 bool FragmentEngine::make_room(util::Instant now, bool new_queue,
                                std::size_t add_bytes) {
-  const bool over_entries = new_queue && budget_.max_entries != 0 &&
-                            queues_.size() >= budget_.max_entries;
-  const bool over_bytes = budget_.max_bytes != 0 &&
-                          buffered_bytes_ + add_bytes > budget_.max_bytes;
+  const TableBudget& budget = guard_.budget();
+  const bool over_entries = new_queue && budget.max_entries != 0 &&
+                            queues_.size() >= budget.max_entries;
+  const bool over_bytes = budget.max_bytes != 0 &&
+                          buffered_bytes_ + add_bytes > budget.max_bytes;
   if (!over_entries && !over_bytes &&
-      !(budget_.policy == EvictionPolicy::kRejectNew && new_queue &&
-        overload_state_.overloaded())) {
+      !(budget.policy == EvictionPolicy::kRejectNew && new_queue &&
+        guard_.overloaded())) {
     return true;
   }
   // Reclaim timed-out queues before sacrificing live ones.
   expire(now);
-  if (budget_.policy == EvictionPolicy::kRejectNew) {
+  if (budget.policy == EvictionPolicy::kRejectNew) {
     const bool still_over_entries =
-        new_queue && budget_.max_entries != 0 &&
-        (overload_state_.overloaded() ||
-         queues_.size() >= budget_.max_entries);
+        new_queue && budget.max_entries != 0 &&
+        (guard_.overloaded() || queues_.size() >= budget.max_entries);
     const bool still_over_bytes =
-        budget_.max_bytes != 0 &&
-        buffered_bytes_ + add_bytes > budget_.max_bytes;
+        budget.max_bytes != 0 &&
+        buffered_bytes_ + add_bytes > budget.max_bytes;
     if (still_over_entries || still_over_bytes) {
       ++stats_.fragments_rejected;
-      TSPU_OBS_COUNT("tspu.frag.rejected");
-      if (obs::tracing()) {
-        obs::trace_event(obs::Layer::kFrag, "frag.reject", now, {},
-                         still_over_bytes ? "byte-budget" : "entry-budget");
-      }
+      guard_.reject(now, queues_.size(),
+                    still_over_bytes ? "byte-budget" : "entry-budget");
       return false;
     }
     return true;
   }
-  if (new_queue && budget_.max_entries != 0) {
-    while (queues_.size() >= budget_.max_entries) {
+  if (new_queue && budget.max_entries != 0) {
+    while (queues_.size() >= budget.max_entries) {
       evict_one(now, "entry-budget");
     }
   }
-  if (budget_.max_bytes != 0) {
-    while (buffered_bytes_ + add_bytes > budget_.max_bytes &&
+  if (budget.max_bytes != 0) {
+    while (buffered_bytes_ + add_bytes > budget.max_bytes &&
            !queues_.empty()) {
       evict_one(now, "byte-budget");
     }
-    if (buffered_bytes_ + add_bytes > budget_.max_bytes) {
+    if (buffered_bytes_ + add_bytes > budget.max_bytes) {
       // A single fragment larger than the whole byte budget: reject it —
       // occupancy may never exceed the budget, whatever the policy.
       ++stats_.fragments_rejected;
-      TSPU_OBS_COUNT("tspu.frag.rejected");
-      if (obs::tracing()) {
-        obs::trace_event(obs::Layer::kFrag, "frag.reject", now, {},
-                         "byte-budget");
-      }
+      guard_.reject(now, queues_.size(), "byte-budget");
       return false;
     }
   }
@@ -143,17 +105,7 @@ void FragmentEngine::audit(util::Instant now) const {
   // Bounded rotating sweep, mirroring ConnTracker::audit: per-event cost
   // stays O(1) amortized even when a scan keeps many queues in flight.
   constexpr std::size_t kAuditSlice = 8;
-  // Budget invariants: admission control precedes every buffer, and every
-  // erase path returns its bytes, so occupancy never exceeds the budget
-  // after any sim event.
-  if (budget_.max_entries != 0) {
-    TSPU_AUDIT(queues_.size() <= budget_.max_entries,
-               "fragment queue count exceeds the entry budget");
-  }
-  if (budget_.max_bytes != 0) {
-    TSPU_AUDIT(buffered_bytes_ <= budget_.max_bytes,
-               "buffered fragment bytes exceed the byte budget");
-  }
+  guard_.audit(queues_.size(), buffered_bytes_);
   auto it = queues_.lower_bound(audit_cursor_);
   for (std::size_t n = 0; n < kAuditSlice && !queues_.empty(); ++n) {
     if (it == queues_.end()) it = queues_.begin();
@@ -249,7 +201,7 @@ std::vector<wire::Packet> FragmentEngine::push(wire::Packet frag,
   }
 
   const wire::FragmentKey key = wire::fragment_key(frag.ip);
-  if (budget_.bounded() &&
+  if (guard_.bounded() &&
       !make_room(now, queues_.find(key) == queues_.end(),
                  frag.payload.size())) {
     // Admission refused: hand the fragment back to the device so the

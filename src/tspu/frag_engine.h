@@ -15,7 +15,6 @@
 
 #include "tspu/budget.h"
 #include "tspu/timeouts.h"
-#include "util/rng.h"
 #include "util/time.h"
 #include "wire/fragment.h"
 #include "wire/ipv4.h"
@@ -36,23 +35,19 @@ struct FragEngineStats {
 
 class FragmentEngine {
  public:
-  explicit FragmentEngine(FragmentTimeouts cfg) : cfg_(cfg) {}
-
-  /// Installs (or replaces) the capacity budget and overload hysteresis
-  /// band: max_entries caps in-flight queues, max_bytes the total buffered
-  /// fragment payload. Defined out-of-line so the budget/gauge pairing is
-  /// visible to tspulint.
-  void set_budget(TableBudget budget, OverloadPolicy overload);
-  const TableBudget& budget() const { return budget_; }
+  /// `budget` caps in-flight queues (max_entries) and the total buffered
+  /// fragment payload (max_bytes); `overload` carries the hysteresis band;
+  /// `evict_seed` starts the kEvictRandom stream.
+  explicit FragmentEngine(FragmentTimeouts cfg, TableBudget budget = {},
+                          OverloadPolicy overload = {},
+                          std::uint64_t evict_seed = 0xf4a6ull)
+      : cfg_(cfg), guard_(obs::Layer::kFrag, budget, overload, evict_seed) {}
 
   /// Reseeds the eviction RNG stream and drops the overload latch
   /// (Device::reseed, trial boundaries).
-  void reseed_eviction(std::uint64_t seed) {
-    evict_rng_.reseed(seed);
-    overload_state_.reset();
-  }
+  void reseed_eviction(std::uint64_t seed) { guard_.reseed(seed); }
 
-  bool overloaded() const { return overload_state_.overloaded(); }
+  bool overloaded() const { return guard_.overloaded(); }
 
   /// Feeds one fragment. Returns the packets to forward NOW: empty while
   /// buffering or discarding; the full fragment set (TTL-rewritten, in
@@ -98,16 +93,13 @@ class FragmentEngine {
   bool make_room(util::Instant now, bool new_queue, std::size_t add_bytes);
   /// Evicts one whole queue (counted + traced with `reason`).
   void evict_one(util::Instant now, const char* reason);
-  /// Publishes the occupancy gauge and drives the overload latch.
+  /// Publishes occupancy through the budget guard, and the buffered-bytes
+  /// gauge.
   void note_occupancy(util::Instant now);
 
   FragmentTimeouts cfg_;
   FragEngineStats stats_;
-  TableBudget budget_;
-  OverloadPolicy overload_;
-  OverloadState overload_state_;
-  /// Eviction choices for kEvictRandom; reseeded per trial.
-  util::Rng evict_rng_{0xf4a6ull};
+  BudgetGuard guard_;
   std::size_t buffered_bytes_ = 0;
   std::map<wire::FragmentKey, Queue> queues_;
   /// Start time of the oldest queue at the last full sweep — the lazy-expiry

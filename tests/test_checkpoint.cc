@@ -460,14 +460,13 @@ TEST(OverloadRegression, ExpiredConnEntriesDoNotTriggerOverloadEnter) {
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
 
-  core::ConnTracker ct({}, {});
   core::TableBudget budget;
   budget.max_entries = 8;
   budget.policy = core::EvictionPolicy::kEvictOldest;
   core::OverloadPolicy policy;
   policy.enter_fraction = 0.75;  // 6 of 8
   policy.exit_fraction = 0.5;
-  ct.set_budget(budget, policy);
+  core::ConnTracker ct({}, {}, /*strict_roles=*/false, budget, policy);
 
   const util::Instant t0;
   // 5/8 live: under the high-water mark.
@@ -492,13 +491,12 @@ TEST(OverloadRegression, ExpiredFragQueuesDoNotTriggerOverloadEnter) {
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
 
-  core::FragmentEngine engine{core::FragmentTimeouts{}};
   core::TableBudget budget;
   budget.max_entries = 8;
   core::OverloadPolicy policy;
   policy.enter_fraction = 0.75;
   policy.exit_fraction = 0.5;
-  engine.set_budget(budget, policy);
+  core::FragmentEngine engine(core::FragmentTimeouts{}, budget, policy);
 
   const util::Instant t0;
   for (std::uint16_t id = 0; id < 5; ++id) {  // 5 incomplete queues
@@ -525,14 +523,13 @@ TEST(OverloadRegression, ConntrackHysteresisExitsOnExpiryAlone) {
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
 
-  core::ConnTracker ct({}, {});
   core::TableBudget budget;
   budget.max_entries = 4;
   budget.policy = core::EvictionPolicy::kRejectNew;
   core::OverloadPolicy policy;
   policy.enter_fraction = 1.0;
   policy.exit_fraction = 0.5;
-  ct.set_budget(budget, policy);
+  core::ConnTracker ct({}, {}, /*strict_roles=*/false, budget, policy);
 
   const util::Instant t0;
   for (int i = 0; i < 4; ++i) {
@@ -556,14 +553,13 @@ TEST(OverloadRegression, FragHysteresisExitsOnExpiryAlone) {
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
 
-  core::FragmentEngine engine{core::FragmentTimeouts{}};
   core::TableBudget budget;
   budget.max_entries = 4;
   budget.policy = core::EvictionPolicy::kRejectNew;
   core::OverloadPolicy policy;
   policy.enter_fraction = 1.0;
   policy.exit_fraction = 0.5;
-  engine.set_budget(budget, policy);
+  core::FragmentEngine engine(core::FragmentTimeouts{}, budget, policy);
 
   const util::Instant t0;
   for (std::uint16_t id = 0; id < 4; ++id) {
@@ -587,10 +583,9 @@ TEST(OverloadRegression, FragByteGaugeTracksEveryBufferedFragment) {
   obs::Recorder rec;
   obs::RecorderScope scope(rec);
 
-  core::FragmentEngine engine{core::FragmentTimeouts{}};
   core::TableBudget budget;
   budget.max_bytes = 1 << 16;
-  engine.set_budget(budget, {});
+  core::FragmentEngine engine(core::FragmentTimeouts{}, budget);
 
   const util::Instant t0;
   auto frags = wire::fragment(frag_source_packet(120, 400), 40);
