@@ -10,10 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -84,7 +82,6 @@ TEST(Tspulint, BadTreeFiresEveryRuleExactly) {
       {{"raw-thread", "src/tspu/threadbad.cc"}, 2},
       {{"hotpath-parse", "src/tspu/parsebad.cc"}, 2},
       {{"hotpath-parse", "src/ispdpi/parsebad.cc"}, 1},
-      {{"budget-gauge", "src/tspu/budgetbad.cc"}, 1},
       {{"raw-buffer-copy", "src/wire/copybad.cc"}, 1},
       {{"raw-buffer-index", "src/wire/indexbad.cc"}, 2},
       {{"stale-allow", "src/wire/staleallow.cc"}, 1},
@@ -164,61 +161,9 @@ TEST(Tspulint, JsonOutputOnCleanTreeIsEmptyFindings) {
       << r.output;
 }
 
-class TspulintRatchet : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("tspulint_ratchet_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string baseline(const char* name) {
-    return (dir_ / name).string();
-  }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(TspulintRatchet, BaselinedFindingsPassTheRatchet) {
-  const RunResult w = run_lint("--write-baseline " + baseline("bad.json") +
-                               " " + fixtures("bad"));
-  ASSERT_EQ(w.exit_code, 1) << w.output;  // findings still fail the write run
-  const RunResult r =
-      run_lint("--ratchet " + baseline("bad.json") + " " + fixtures("bad"));
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("ratchet OK"), std::string::npos) << r.output;
-}
-
-TEST_F(TspulintRatchet, NewFindingsFailTheRatchet) {
-  // Baseline from the clean tree = empty; every bad-tree finding is new.
-  const RunResult w = run_lint("--write-baseline " + baseline("empty.json") +
-                               " " + fixtures("good"));
-  ASSERT_EQ(w.exit_code, 0) << w.output;
-  const RunResult r =
-      run_lint("--ratchet " + baseline("empty.json") + " " + fixtures("bad"));
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("NEW (not in baseline)"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("ratchet violated"), std::string::npos) << r.output;
-}
-
-TEST_F(TspulintRatchet, FixedFindingsMustBeBurnedDownExplicitly) {
-  const RunResult w = run_lint("--write-baseline " + baseline("bad.json") +
-                               " " + fixtures("bad"));
-  ASSERT_EQ(w.exit_code, 1) << w.output;
-  const RunResult r =
-      run_lint("--ratchet " + baseline("bad.json") + " " + fixtures("good"));
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("no longer fires"), std::string::npos) << r.output;
-}
-
 TEST(Tspulint, UsageErrorsExitTwo) {
   EXPECT_EQ(run_lint("").exit_code, 2);
   EXPECT_EQ(run_lint("--bogus-flag x").exit_code, 2);
-  EXPECT_EQ(run_lint("--ratchet /nonexistent/baseline.json " + fixtures("good"))
-                .exit_code,
-            2);
 }
 
 }  // namespace

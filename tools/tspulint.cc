@@ -99,25 +99,14 @@
 //                       parse_udp, parse_client_hello, extract_sni*) copy
 //                       payload bytes per packet; only sites that go on to
 //                       mutate the copy may use them, under an allow().
-//   budget-gauge        src/{netsim,tspu} *.cc: a file that configures a
-//                       core::TableBudget (a bounded device table) must
-//                       also publish an occupancy gauge — saturation the
-//                       flight recorder cannot see is undebuggable
-//                       (docs/overload.md).
 //
 // Output modes:
 //   tspulint <root>...                   human "file:line: rule: message"
 //   tspulint --json <root>...            machine-readable findings (rule,
 //                                        file, line, symbol, include-path
 //                                        witness)
-//   tspulint --ratchet <baseline> <root> fail only on findings NOT in the
-//                                        checked-in baseline (new debt), and
-//                                        on baseline entries that no longer
-//                                        fire (burn-down must be explicit)
-//   tspulint --write-baseline <path> ... write the current findings as the
-//                                        new baseline
 //
-// Exit status: 0 clean, 1 findings (or ratchet violations), 2 usage/IO.
+// Exit status: 0 clean, 1 findings, 2 usage/IO.
 
 #include <algorithm>
 #include <cctype>
@@ -125,7 +114,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -925,23 +913,6 @@ void lint_file_tokens(Linter& lint, SourceFile& f) {
     }
   }
 
-  // budget-gauge: a netsim/tspu implementation file that handles a capacity
-  // budget (core::TableBudget) manages a bounded table, and a bounded table
-  // must publish its occupancy high-water gauge — saturation the flight
-  // recorder cannot see is undebuggable (docs/overload.md). One finding per
-  // file, anchored at the first TableBudget reference.
-  if (stats_impl && !file_has_ident(f, "gauge")) {
-    for (const Tok& tk : t) {
-      if (tk.kind == Tok::Kind::kIdent && tk.text == "TableBudget") {
-        lint.report(f, tk.line, "budget-gauge",
-                    "TableBudget in a file that never publishes an occupancy "
-                    "gauge — every bounded table must expose a "
-                    "'<layer>.occupancy' gauge (docs/overload.md)");
-        break;
-      }
-    }
-  }
-
   // hotpath-alloc, by-value Bytes captures: collect every name declared (or
   // taken as a parameter) with type Bytes / util::Bytes, then flag plain
   // by-value captures of those names in lambda introducers. Init-captures
@@ -1336,7 +1307,7 @@ bool load_tree(const fs::path& root, std::map<std::string, SourceFile>& files) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON output + minimal baseline parsing
+// JSON output
 // ---------------------------------------------------------------------------
 
 std::string json_escape(const std::string& s) {
@@ -1379,73 +1350,15 @@ void write_json(std::ostream& os, const std::vector<Finding>& findings,
   os << "\n  ]\n}\n";
 }
 
-/// Minimal reader for the baseline format this tool writes: scans for
-/// objects inside the "findings" array and pulls the string/number fields it
-/// knows about. Tolerant of whitespace, intolerant of clever hand edits.
-struct BaselineEntry {
-  std::string rule, file, symbol;
-};
-
-std::optional<std::vector<BaselineEntry>> read_baseline(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string s = buf.str();
-  std::vector<BaselineEntry> out;
-  std::size_t pos = s.find("\"findings\"");
-  if (pos == std::string::npos) return std::nullopt;
-  while ((pos = s.find('{', pos)) != std::string::npos) {
-    const std::size_t end = s.find('}', pos);
-    if (end == std::string::npos) break;
-    const std::string obj = s.substr(pos, end - pos);
-    auto field = [&](const char* key) -> std::string {
-      const std::string needle = std::string("\"") + key + "\"";
-      std::size_t k = obj.find(needle);
-      if (k == std::string::npos) return {};
-      k = obj.find(':', k);
-      if (k == std::string::npos) return {};
-      ++k;
-      while (k < obj.size() &&
-             std::isspace(static_cast<unsigned char>(obj[k])))
-        ++k;
-      if (k >= obj.size() || obj[k] != '"') return {};
-      std::string val;
-      for (++k; k < obj.size() && obj[k] != '"'; ++k) {
-        if (obj[k] == '\\' && k + 1 < obj.size()) ++k;
-        val += obj[k];
-      }
-      return val;
-    };
-    BaselineEntry e;
-    e.rule = field("rule");
-    e.file = field("file");
-    e.symbol = field("symbol");
-    if (!e.rule.empty() && !e.file.empty()) out.push_back(std::move(e));
-    pos = end + 1;
-  }
-  return out;
-}
-
-std::string ratchet_key(const std::string& rule, const std::string& file,
-                        const std::string& symbol) {
-  return rule + "\x1f" + file + "\x1f" + symbol;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool json = false;
-  fs::path ratchet_baseline, write_baseline;
   std::vector<fs::path> roots;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
     if (arg == "--json") {
       json = true;
-    } else if (arg == "--ratchet" && a + 1 < argc) {
-      ratchet_baseline = argv[++a];
-    } else if (arg == "--write-baseline" && a + 1 < argc) {
-      write_baseline = argv[++a];
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "tspulint: unknown flag " << arg << "\n";
       return 2;
@@ -1454,8 +1367,7 @@ int main(int argc, char** argv) {
     }
   }
   if (roots.empty()) {
-    std::cerr << "usage: tspulint [--json] [--ratchet <baseline.json>] "
-                 "[--write-baseline <path>] <repo-root> [more roots...]\n";
+    std::cerr << "usage: tspulint [--json] <repo-root> [more roots...]\n";
     return 2;
   }
 
@@ -1492,61 +1404,6 @@ int main(int argc, char** argv) {
               return std::tie(a.rel, a.line, a.rule, a.message) <
                      std::tie(b.rel, b.line, b.rule, b.message);
             });
-
-  if (!write_baseline.empty()) {
-    std::ofstream out(write_baseline, std::ios::binary);
-    write_json(out, lint.findings, files.size());
-    std::cerr << "tspulint: wrote baseline with " << lint.findings.size()
-              << " finding(s) to " << write_baseline.generic_string() << "\n";
-  }
-
-  if (!ratchet_baseline.empty()) {
-    auto baseline = read_baseline(ratchet_baseline);
-    if (!baseline) {
-      std::cerr << "tspulint: cannot read baseline "
-                << ratchet_baseline.generic_string() << "\n";
-      return 2;
-    }
-    std::multiset<std::string> allowed;
-    for (const BaselineEntry& e : baseline.value()) {
-      allowed.insert(ratchet_key(e.rule, e.file, e.symbol));
-    }
-    std::vector<const Finding*> fresh;
-    for (const Finding& f : lint.findings) {
-      const std::string key = ratchet_key(f.rule, f.rel, f.symbol);
-      auto it = allowed.find(key);
-      if (it != allowed.end()) {
-        allowed.erase(it);  // consumed by a legacy finding
-      } else {
-        fresh.push_back(&f);
-      }
-    }
-    for (const Finding* f : fresh) {
-      std::cout << f->rel << ":" << f->line << ": " << f->rule
-                << ": NEW (not in baseline): " << f->message << "\n";
-    }
-    for (const std::string& key : allowed) {
-      const std::size_t a = key.find('\x1f');
-      const std::size_t b = key.find('\x1f', a + 1);
-      std::cout << key.substr(a + 1, b - a - 1) << ": " << key.substr(0, a)
-                << ": baseline entry no longer fires — burn it down by "
-                   "removing it from the baseline ("
-                << (key.substr(b + 1).empty() ? "<no symbol>"
-                                              : key.substr(b + 1))
-                << ")\n";
-    }
-    if (!fresh.empty() || !allowed.empty()) {
-      std::cout << "tspulint: ratchet violated: " << fresh.size()
-                << " new finding(s), " << allowed.size()
-                << " stale baseline entr"
-                << (allowed.size() == 1 ? "y" : "ies") << "\n";
-      return 1;
-    }
-    std::cout << "tspulint: ratchet OK (" << lint.findings.size()
-              << " baselined finding(s), " << files.size()
-              << " files checked)\n";
-    return 0;
-  }
 
   if (json) {
     write_json(std::cout, lint.findings, files.size());
