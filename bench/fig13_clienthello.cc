@@ -27,6 +27,8 @@ int main() {
                      "agreement"});
   int agreements = 0, total = 0;
   for (const auto& alt : tls::alteration_suite("facebook.com")) {
+    scenario.begin_trial(
+        runner::item_seed(0, static_cast<std::uint64_t>(total)));
     netsim::TcpClientOptions opts;
     opts.src_port = static_cast<std::uint16_t>(21000 + total);
     auto& conn = vp.host->connect(scenario.us_machine(0).addr(), 443, opts);
@@ -39,9 +41,6 @@ int main() {
     if (blocked == parser) ++agreements;
     table.row({alt.name, blocked ? "yes" : "no", parser ? "yes" : "no",
                blocked == parser ? "agree" : "DISAGREE"});
-    vp.host->reset_traffic_state();
-    scenario.us_machine(0).reset_traffic_state();
-    net.sim().run_for(util::Duration::seconds(1));
   }
   std::printf("%s\nagreement: %d/%d — the device blocks exactly when a "
               "Figure-13 field walk still reaches the SNI\n\n",

@@ -39,7 +39,9 @@ int main() {
   };
 
   util::Table table({"datagram", "observed", "expected"});
+  std::uint64_t index = 0;
   for (const Case& c : cases) {
+    scenario.begin_trial(runner::item_seed(0, index++));
     const std::uint16_t sport = measure::fresh_port();
     quic::InitialPacketSpec spec;
     spec.version = c.version;
@@ -58,8 +60,6 @@ int main() {
     const bool blocked = c.port == 443 ? replies == 0 : false;
     table.row({c.label, blocked ? "flow dropped" : "passes",
                c.expect_blocked ? "flow dropped" : "passes"});
-    vp.host->reset_traffic_state();
-    net.sim().run_for(util::Duration::seconds(1));
   }
   std::printf("%s", table.render().c_str());
   bench::note("fingerprint: UDP to :443, >= 1001 payload bytes, bytes [1..4] "

@@ -2,6 +2,7 @@
 
 #include "measure/common.h"
 #include "quic/quic.h"
+#include "runner/runner.h"
 #include "tls/clienthello.h"
 
 namespace tspu::circumvent {
@@ -211,6 +212,13 @@ std::vector<StrategyOutcome> evaluate_strategies(topo::Scenario& scenario,
   const std::string sni_i_domain = "facebook.com";
   const std::string sni_ii_domain = "nordvpn.com";
 
+  // Every exchange is its own trial, like a DomainTester item: begin_trial
+  // reseeds the devices and rewinds the hosts and the fresh-port counter, so
+  // no exchange sees the state an earlier one left behind.
+  std::uint64_t exchange = 0;
+  auto begin_exchange = [&] {
+    scenario.begin_trial(runner::item_seed(0, exchange++));
+  };
   std::vector<StrategyOutcome> out;
   for (Strategy s :
        {Strategy::kBaseline, Strategy::kSmallWindow, Strategy::kMssClamp,
@@ -224,12 +232,16 @@ std::vector<StrategyOutcome> evaluate_strategies(topo::Scenario& scenario,
     if (s == Strategy::kQuicDraft29 || s == Strategy::kQuicPing) {
       o.applicable_to_tls = false;
       o.applicable_to_quic = true;
+      begin_exchange();
       o.evades_quic = quic_exchange_succeeds(scenario, vp, s);
     } else {
+      begin_exchange();
       o.evades_sni_i = tls_exchange_succeeds(scenario, vp, s, sni_i_domain);
+      begin_exchange();
       o.evades_sni_ii = tls_exchange_succeeds(scenario, vp, s, sni_ii_domain);
       if (s == Strategy::kBaseline) {
         o.applicable_to_quic = true;
+        begin_exchange();
         o.evades_quic = quic_exchange_succeeds(scenario, vp, s);
       }
     }

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "circumvent/strategies.h"
 #include "ispdpi/resolver.h"
 #include "measure/common.h"
 #include "measure/domain_tester.h"
@@ -267,8 +268,8 @@ std::string first_difference(const std::string& a, const std::string& b) {
     const bool more_b = static_cast<bool>(std::getline(in_b, lb));
     if (!more_a && !more_b) return "none";
     if (la != lb || more_a != more_b) {
-      return "line " + std::to_string(line) + ":\n  in order: " + la +
-             "\n  shuffled: " + lb;
+      return "line " + std::to_string(line) + ":\n  first:  " + la +
+             "\n  second: " + lb;
     }
   }
 }
@@ -364,6 +365,46 @@ TEST(ScheduleIsolation, NationalFaultedFloodedScanIgnoresItemOrder) {
             << ',' << loc.device_hops_from_destination.value_or(-1);
         return out.str();
       });
+}
+
+// The §8 strategy matrix the way circumvention_matrix runs it: one vantage
+// point's matrix after another's on the same Scenario. Each of its
+// exchanges is a trial of its own, so ER-Telecom's matrix — verdicts and
+// every trace event — must not depend on the Rostelecom exchanges before it.
+TEST(ScheduleIsolation, StrategyMatrixIgnoresEarlierExchanges) {
+  topo::ScenarioConfig cfg;
+  cfg.perfect_devices = true;
+  cfg.corpus.scale = 0.02;
+  auto er_telecom_matrix = [](topo::Scenario& sc) {
+    obs::TraceConfig tc;
+    tc.enabled = true;
+    tc.per_item_cap = std::size_t{1} << 20;  // keep the whole matrix
+    obs::Recorder rec(tc);
+    ScheduleRun run;
+    {
+      obs::RecorderScope scope(rec);
+      for (const circumvent::StrategyOutcome& o :
+           circumvent::evaluate_strategies(sc, sc.vp("ER-Telecom"))) {
+        std::ostringstream out;
+        out << circumvent::strategy_name(o.strategy) << '=' << o.evades_sni_i
+            << o.evades_sni_ii << o.evades_quic;
+        run.results.push_back(out.str());
+      }
+    }
+    run.trace_jsonl = rec.trace.to_jsonl();
+    return run;
+  };
+
+  topo::Scenario fresh(cfg);
+  const ScheduleRun alone = er_telecom_matrix(fresh);
+  topo::Scenario shared(cfg);
+  circumvent::evaluate_strategies(shared, shared.vp("Rostelecom"));
+  const ScheduleRun after = er_telecom_matrix(shared);
+
+  ASSERT_FALSE(alone.trace_jsonl.empty());
+  EXPECT_EQ(alone.results, after.results);
+  EXPECT_TRUE(alone.trace_jsonl == after.trace_jsonl)
+      << first_difference(alone.trace_jsonl, after.trace_jsonl);
 }
 
 }  // namespace
